@@ -139,9 +139,10 @@ func BenchmarkGetIndexedV1(b *testing.B) {
 	}
 }
 
-// BenchmarkGetFullScan is the pre-index baseline: the same store with
-// its sidecars deleted, so every Get gunzips whole partitions.
-func BenchmarkGetFullScan(b *testing.B) {
+// BenchmarkOpenWithoutSidecars times Open on the read store with its
+// sidecars deleted: every month is indexed in memory by walking its
+// gzip members, the cost a pre-sidecar store pays on each open.
+func BenchmarkOpenWithoutSidecars(b *testing.B) {
 	dir := b.TempDir()
 	s := buildReadStore(b, dir, WithCacheSize(0))
 	if err := s.Close(); err != nil {
@@ -156,17 +157,14 @@ func BenchmarkGetFullScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s2, err := Open(dir, WithCacheSize(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if s2.Indexed() {
-		b.Fatal("baseline store is indexed")
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s2.Get(benchSHA(i * 7919)); err != nil {
+		s2, err := Open(dir, WithCacheSize(0))
+		if err != nil {
 			b.Fatal(err)
+		}
+		if s2.NumSamples() != benchSamples {
+			b.Fatalf("opened %d samples", s2.NumSamples())
 		}
 	}
 }
@@ -185,7 +183,7 @@ func BenchmarkGetCold(b *testing.B) {
 }
 
 // BenchmarkGetHot measures a cache hit: repeated Gets of a small hot
-// set, each serving a deep copy from the LRU.
+// set, each served from the LRU as a fresh slice over shared reports.
 func BenchmarkGetHot(b *testing.B) {
 	s := buildReadStore(b, b.TempDir())
 	for i := 0; i < 16; i++ { // warm the hot set
@@ -201,8 +199,8 @@ func BenchmarkGetHot(b *testing.B) {
 	}
 }
 
-// BenchmarkIterAll measures the full-store pass that Verify and
-// StatsByType ride on, fanning blocks across GOMAXPROCS workers (so
+// BenchmarkIterAll measures the row-materializing full-store pass, a
+// full-projection Scan fanning blocks across GOMAXPROCS workers (so
 // -cpu 1,4,8 sweeps the pool width).
 func BenchmarkIterAll(b *testing.B) {
 	s := buildReadStore(b, b.TempDir())

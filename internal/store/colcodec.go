@@ -250,24 +250,6 @@ func (c *colCursor) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// skipDict advances past one dictionary without materializing it.
-func (c *colCursor) skipDict() error {
-	n, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		l, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readDict materializes one dictionary. intern routes entries through
 // the shared vocabulary table (engines, labels, file types); sha
 // dictionaries stay plain copies — sample hashes are an unbounded
@@ -314,68 +296,68 @@ type colBlock struct {
 	segs [numColSegs][]byte
 }
 
-// colWant selects which dictionaries a parse materializes; segments
-// are always sliced (cheap) but never decoded here.
-type colWant uint8
-
-const (
-	wantSHA colWant = 1 << iota
-	wantFT
-	wantEng
-	wantLab
-	wantAllDicts = wantSHA | wantFT | wantEng | wantLab
-)
+// readColHeader validates a v2 payload's magic and reads its row
+// count and raw-byte total, returning a cursor at the first
+// dictionary. A row count the payload cannot hold (every row takes at
+// least one byte in each per-row column) or a raw total past int64 is
+// corruption, not a huge block.
+func readColHeader(payload []byte) (c colCursor, rows int, raw int64, err error) {
+	if sniffVersion(payload) != FormatV2 {
+		return c, 0, 0, errColCorrupt
+	}
+	c = colCursor{buf: payload, off: len(colMagic) + 1}
+	r, err := c.uvarint()
+	if err != nil {
+		return c, 0, 0, err
+	}
+	w, err := c.uvarint()
+	if err != nil {
+		return c, 0, 0, err
+	}
+	if r > uint64(len(payload)) || int64(w) < 0 {
+		return c, 0, 0, errColCorrupt
+	}
+	return c, int(r), int64(w), nil
+}
 
 // parseColumnarBlock validates the header and slices the payload into
-// dictionaries and segments. Dictionaries not selected by want are
-// skipped without allocation.
-func parseColumnarBlock(payload []byte, want colWant) (*colBlock, error) {
-	if sniffVersion(payload) != FormatV2 {
-		return nil, errColCorrupt
-	}
-	c := colCursor{buf: payload, off: len(colMagic) + 1}
-	cb := &colBlock{}
-	rows, err := c.uvarint()
+// dictionaries and segments; segments are sliced, never decoded here.
+func parseColumnarBlock(payload []byte) (*colBlock, error) {
+	c, rows, raw, err := readColHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cb.rows, cb.raw = int(rows), int64(raw)
-	dicts := []struct {
-		sel    colWant
+	cb := &colBlock{rows: rows, raw: raw}
+	for _, d := range []struct {
 		out    *[]string
 		intern bool
-	}{
-		{wantSHA, &cb.sha, false},
-		{wantFT, &cb.ft, true},
-		{wantEng, &cb.eng, true},
-		{wantLab, &cb.lab, true},
-	}
-	for _, d := range dicts {
-		if want&d.sel != 0 {
-			if *d.out, err = c.readDict(d.intern); err != nil {
-				return nil, err
-			}
-		} else if err := c.skipDict(); err != nil {
+	}{{&cb.sha, false}, {&cb.ft, true}, {&cb.eng, true}, {&cb.lab, true}} {
+		if *d.out, err = c.readDict(d.intern); err != nil {
 			return nil, err
 		}
 	}
-	for i := range cb.segs {
-		l, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if cb.segs[i], err = c.bytes(int(l)); err != nil {
-			return nil, err
-		}
-	}
-	if c.off != len(payload) {
-		return nil, errColCorrupt
+	if cb.segs, err = c.segments(); err != nil {
+		return nil, err
 	}
 	return cb, nil
+}
+
+// segments slices the column segments that end a v2 payload; they
+// must tile the rest of it exactly.
+func (c *colCursor) segments() (segs [numColSegs][]byte, err error) {
+	for i := range segs {
+		l, err := c.uvarint()
+		if err != nil {
+			return segs, err
+		}
+		if segs[i], err = c.bytes(int(l)); err != nil {
+			return segs, err
+		}
+	}
+	if c.off != len(c.buf) {
+		return segs, errColCorrupt
+	}
+	return segs, nil
 }
 
 // verdictReader streams the verdict column, transparently handling
@@ -421,10 +403,11 @@ func (vr *verdictReader) next() (int8, error) {
 }
 
 // forEachRow decodes every column and streams the rows in storage
-// order. The scanRow passed to fn is reused between calls (its
-// strings are dict-owned, only the Res backing array is recycled), so
-// fn must copy what it keeps — rowToReport does. The block must have
-// been parsed with wantAllDicts.
+// order — the full-row reference decoder the pushdown scan and the v1
+// codec are differential-tested against. The scanRow passed to fn is
+// reused between calls (its strings are dict-owned, only the Res
+// backing array is recycled), so fn must copy what it keeps —
+// rowToReport does.
 func (cb *colBlock) forEachRow(fn func(row *scanRow) error) error {
 	var (
 		shaC  = colCursor{buf: cb.segs[segSHA]}
@@ -538,276 +521,6 @@ func (c *colCursor) skipVarints(k int) error {
 			if b < 0x80 {
 				break
 			}
-		}
-	}
-	return nil
-}
-
-// lazyDict defers dictionary decoding: the constructor walks the
-// entry region once, recording each entry's offset, and entry()
-// decodes and interns only the entries a caller references — a Get
-// touching 2 of a block's 200 labels pays string work for 2, not 200.
-// The offset table keeps entry() O(1); an O(idx) rescan per lookup is
-// measurably slower on blocks with large label vocabularies.
-type lazyDict struct {
-	data []byte  // the length-prefixed entries, sans count
-	offs []int32 // start of each entry within data
-}
-
-// readLazyDict advances past one dictionary, validating entry bounds
-// and indexing entry offsets.
-func (c *colCursor) readLazyDict() (lazyDict, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return lazyDict{}, err
-	}
-	if n > uint64(len(c.buf)-c.off) {
-		return lazyDict{}, errColCorrupt
-	}
-	start := c.off
-	offs := make([]int32, n)
-	for i := range offs {
-		offs[i] = int32(c.off - start)
-		l, err := c.uvarint()
-		if err != nil {
-			return lazyDict{}, err
-		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return lazyDict{}, err
-		}
-	}
-	return lazyDict{data: c.buf[start:c.off], offs: offs}, nil
-}
-
-func (d *lazyDict) size() uint64 { return uint64(len(d.offs)) }
-
-func (d *lazyDict) entry(idx uint64) (string, error) {
-	if idx >= uint64(len(d.offs)) {
-		return "", errColCorrupt
-	}
-	c := colCursor{buf: d.data, off: int(d.offs[idx])}
-	l, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := c.bytes(int(l))
-	if err != nil {
-		return "", err
-	}
-	return report.InternBytes(b), nil
-}
-
-// columnarRowsFor decodes only the rows belonging to sha. The sha
-// dictionary is scanned raw — a block without the sample costs one
-// allocation-free byte scan and nothing else — and when the sample is
-// present, non-matching rows are skipped varint-wise and dictionaries
-// decode lazily, so a Get pays full decode cost only for its own rows.
-func columnarRowsFor(payload []byte, sha string) ([]*report.ScanReport, error) {
-	if sniffVersion(payload) != FormatV2 {
-		return nil, errColCorrupt
-	}
-	c := colCursor{buf: payload, off: len(colMagic) + 1}
-	rowsU, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rows := int(rowsU)
-	if _, err := c.uvarint(); err != nil { // rawBytes: unused here
-		return nil, err
-	}
-	// sha dictionary: locate the target without materializing entries.
-	nsha, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nsha > uint64(len(c.buf)-c.off) {
-		return nil, errColCorrupt
-	}
-	target, found := uint64(0), false
-	for i := uint64(0); i < nsha; i++ {
-		l, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.bytes(int(l))
-		if err != nil {
-			return nil, err
-		}
-		if !found && string(b) == sha { // comparison only — no alloc
-			target, found = i, true
-		}
-	}
-	if !found {
-		return nil, nil
-	}
-	ftD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	engD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	labD, err := c.readLazyDict()
-	if err != nil {
-		return nil, err
-	}
-	var segs [numColSegs][]byte
-	for i := range segs {
-		l, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if segs[i], err = c.bytes(int(l)); err != nil {
-			return nil, err
-		}
-	}
-	if c.off != len(payload) {
-		return nil, errColCorrupt
-	}
-
-	var (
-		shaC  = colCursor{buf: segs[segSHA]}
-		timeC = colCursor{buf: segs[segTime]}
-		ftC   = colCursor{buf: segs[segFT]}
-		rankC = colCursor{buf: segs[segRank]}
-		totC  = colCursor{buf: segs[segTot]}
-		nresC = colCursor{buf: segs[segNRes]}
-		resC  = colCursor{buf: segs[segRes]}
-		out   []*report.ScanReport
-		at    int64
-	)
-	vr, err := newVerdictReader(segs[segVerdict])
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < rows; i++ {
-		shaIdx, err := shaC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		dt, err := timeC.varint()
-		if err != nil {
-			return nil, err
-		}
-		at += dt
-		nres, err := nresC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nres > uint64(len(segs[segRes])) {
-			return nil, errColCorrupt
-		}
-		if shaIdx != target {
-			// Skip: advance every per-row cursor without decoding.
-			if err := ftC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := rankC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := totC.skipVarints(1); err != nil {
-				return nil, err
-			}
-			if err := resC.skipVarints(3 * int(nres)); err != nil {
-				return nil, err
-			}
-			if vr.packed {
-				vr.n += int(nres)
-			} else if err := vr.c.skipVarints(int(nres)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ftIdx, err := ftC.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ft, err := ftD.entry(ftIdx)
-		if err != nil {
-			return nil, err
-		}
-		rank, err := rankC.varint()
-		if err != nil {
-			return nil, err
-		}
-		tot, err := totC.varint()
-		if err != nil {
-			return nil, err
-		}
-		r := &report.ScanReport{
-			SHA256:       sha,
-			FileType:     ft,
-			AnalysisDate: fromUnix(at),
-			AVRank:       int(rank),
-			EnginesTotal: int(tot),
-			// Non-nil even when empty, matching rowToReport exactly.
-			Results: make([]report.EngineResult, 0, nres),
-		}
-		for j := uint64(0); j < nres; j++ {
-			engIdx, err := resC.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			eng, err := engD.entry(engIdx)
-			if err != nil {
-				return nil, err
-			}
-			sigver, err := resC.varint()
-			if err != nil {
-				return nil, err
-			}
-			labIdx, err := resC.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if labIdx > labD.size() {
-				return nil, errColCorrupt
-			}
-			v, err := vr.next()
-			if err != nil {
-				return nil, err
-			}
-			er := report.EngineResult{
-				Engine:           eng,
-				Verdict:          report.Verdict(v),
-				SignatureVersion: int(sigver),
-			}
-			if labIdx > 0 {
-				if er.Label, err = labD.entry(labIdx - 1); err != nil {
-					return nil, err
-				}
-			}
-			r.Results = append(r.Results, er)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// columnarTypeCounts tallies rows per file type decoding only the
-// file-type dictionary and column — the pruned path behind
-// StatsByType on v2 blocks.
-func columnarTypeCounts(payload []byte, tally func(ft string, rows int)) error {
-	cb, err := parseColumnarBlock(payload, wantFT)
-	if err != nil {
-		return err
-	}
-	counts := make([]int, len(cb.ft))
-	c := colCursor{buf: cb.segs[segFT]}
-	for i := 0; i < cb.rows; i++ {
-		idx, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if idx >= uint64(len(counts)) {
-			return errColCorrupt
-		}
-		counts[idx]++
-	}
-	for i, n := range counts {
-		if n > 0 {
-			tally(cb.ft[i], n)
 		}
 	}
 	return nil

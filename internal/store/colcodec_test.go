@@ -45,7 +45,7 @@ func decodeV2Rows(t testing.TB, raw []byte) ([]*report.ScanReport, *colBlock) {
 	if err != nil {
 		t.Fatalf("columnar encode: %v", err)
 	}
-	cb, err := parseColumnarBlock(payload, wantAllDicts)
+	cb, err := parseColumnarBlock(payload)
 	if err != nil {
 		t.Fatalf("columnar parse: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestColumnarVerdictPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := parseColumnarBlock(payload, 0)
+	cb, err := parseColumnarBlock(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestColumnarVerdictPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err = parseColumnarBlock(payload, 0)
+	cb, err = parseColumnarBlock(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +173,14 @@ func TestColumnarVerdictPacking(t *testing.T) {
 	}
 }
 
-// TestColumnarRowsFor pins the sha pre-filter behind Get: only the
-// requested sample's rows come back, in storage order, and a block
-// whose dictionary lacks the sample returns nil without row decoding.
-func TestColumnarRowsFor(t *testing.T) {
+// TestScanColPushdownSHAQuery pins Get's decode: a SHA-predicate scan
+// (lazy dictionary projection) feeds only the requested sample's rows,
+// in storage order, equal to the v1 decode of the same rows, and the
+// same query with the hash projected reads identically; a block whose
+// dictionary lacks the sample feeds nothing.
+func TestScanColPushdownSHAQuery(t *testing.T) {
 	raw := rawBlockFor(colTestReports())
 	payload, err := appendColumnarBlock(nil, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := columnarRowsFor(payload, "aaa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,28 +190,20 @@ func TestColumnarRowsFor(t *testing.T) {
 			want = append(want, r)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rowsFor(aaa):\n got %+v\nwant %+v", got, want)
+	for _, cols := range []ColSet{ColAll &^ ColSHA, ColAll} {
+		hp := historyPartial{sha: "aaa"}
+		cq := compileQuery(Query{SHAs: []string{"aaa"}, Cols: cols})
+		if _, err := scanColPushdown(payload, cq, "2021-05", &hp); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hp.out, want) {
+			t.Fatalf("cols %b: rows for aaa:\n got %+v\nwant %+v", cols, hp.out, want)
+		}
 	}
-	if miss, err := columnarRowsFor(payload, "zzz"); err != nil || miss != nil {
-		t.Fatalf("rowsFor(absent) = %v, %v; want nil, nil", miss, err)
-	}
-}
-
-// TestColumnarTypeCounts pins the pruned StatsByType column: per-type
-// row tallies from just the file-type dictionary and segment.
-func TestColumnarTypeCounts(t *testing.T) {
-	payload, err := appendColumnarBlock(nil, rawBlockFor(colTestReports()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	if err := columnarTypeCounts(payload, func(ft string, rows int) { got[ft] += rows }); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"Win32 EXE": 2, "PDF": 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("type counts = %v, want %v", got, want)
+	miss := historyPartial{sha: "zzz"}
+	n, err := scanColPushdown(payload, compileQuery(Query{SHAs: []string{"zzz"}, Cols: ColAll}), "2021-05", &miss)
+	if err != nil || n != 0 || miss.out != nil {
+		t.Fatalf("absent sample: %d rows %v, %v; want none", n, miss.out, err)
 	}
 }
 
@@ -221,10 +211,10 @@ func TestColumnarTypeCounts(t *testing.T) {
 // wrong versions, and every truncation of a valid payload with an
 // error — never panic, never fabricate rows.
 func TestColumnarRejectsGarbage(t *testing.T) {
-	if _, err := parseColumnarBlock([]byte(`{"s":"x"}`), wantAllDicts); err == nil {
+	if _, err := parseColumnarBlock([]byte(`{"s":"x"}`)); err == nil {
 		t.Fatal("parsed a v1 line as columnar")
 	}
-	if _, err := parseColumnarBlock([]byte(colMagic+"\x01rest"), wantAllDicts); err == nil {
+	if _, err := parseColumnarBlock([]byte(colMagic + "\x01rest")); err == nil {
 		t.Fatal("parsed a non-v2 version byte")
 	}
 	payload, err := appendColumnarBlock(nil, rawBlockFor(colTestReports()))
@@ -232,7 +222,7 @@ func TestColumnarRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(payload); cut++ {
-		cb, err := parseColumnarBlock(payload[:cut], wantAllDicts)
+		cb, err := parseColumnarBlock(payload[:cut])
 		if err != nil {
 			continue
 		}
@@ -244,7 +234,7 @@ func TestColumnarRejectsGarbage(t *testing.T) {
 	}
 	// Trailing garbage is corruption too: segments must tile the
 	// payload exactly.
-	if _, err := parseColumnarBlock(append(payload, 0xAB), wantAllDicts); err == nil {
+	if _, err := parseColumnarBlock(append(payload, 0xAB)); err == nil {
 		t.Fatal("parsed a payload with trailing garbage")
 	}
 }

@@ -358,13 +358,25 @@ func TestUnknownFormatRejected(t *testing.T) {
 	})
 
 	t.Run("reindex", func(t *testing.T) {
-		// Reindex rebuilds sidecars by walking members; the walk must
-		// reject the future one with the same typed error.
+		// Reindex and Open rebuild indexes by walking members; the walk
+		// must reject the future one with the same typed error, and
+		// RepairDir must not mistake it for a torn tail and truncate.
 		dir := writeFutureStore(t, false)
-		_, err := indexPartitionFile(filepath.Join(dir, "scans-2021-05.jsonl.gz"), formatMax)
+		path := filepath.Join(dir, "scans-2021-05.jsonl.gz")
+		ix, _, err := walkPartition(path, formatMax)
 		var fe *FormatError
-		if !errors.As(err, &fe) || fe.Version != formatMax+1 {
-			t.Fatalf("indexPartitionFile = %v, want FormatError v%d", err, formatMax+1)
+		if ix != nil || !errors.As(err, &fe) || fe.Version != formatMax+1 {
+			t.Fatalf("walkPartition = %v, %v; want nil, FormatError v%d", ix, err, formatMax+1)
+		}
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RepairDir(dir); !errors.As(err, &fe) {
+			t.Fatalf("RepairDir = %v, want FormatError", err)
+		}
+		if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+			t.Fatalf("RepairDir changed the future partition: %v", err)
 		}
 	})
 

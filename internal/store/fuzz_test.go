@@ -1,8 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,4 +108,132 @@ func TestRowCodecZeroTime(t *testing.T) {
 		// design; document it here so a future change is deliberate.
 		t.Fatalf("epoch encoded as %d", ts)
 	}
+}
+
+// goldenPayloads seeds the arbitrary-byte decoder fuzzers with every
+// member payload of the committed golden-v1 and golden-v2 partitions.
+func goldenPayloads(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
+	for _, dir := range []string{goldenDir, goldenDirV2} {
+		parts, err := filepath.Glob(filepath.Join(dir, "scans-*.jsonl.gz"))
+		if err != nil || len(parts) == 0 {
+			f.Fatalf("golden partitions in %s: %v", dir, err)
+		}
+		for _, part := range parts {
+			b, err := os.ReadFile(part)
+			if err != nil {
+				f.Fatal(err)
+			}
+			br := bytes.NewReader(b)
+			zr, err := gzip.NewReader(br)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for {
+				zr.Multistream(false)
+				payload, err := io.ReadAll(zr)
+				if err != nil {
+					f.Fatal(err)
+				}
+				out = append(out, payload)
+				if err := zr.Reset(br); err == io.EOF {
+					break
+				} else if err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// linesPartial renders every fed row, for comparing decoders.
+type linesPartial struct{ lines []string }
+
+func (p *linesPartial) Row(rv *RowView) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%s|%d|%d|%d", rv.SHA, rv.FT, rv.At, rv.Rank, rv.Tot)
+	for _, r := range rv.Res {
+		fmt.Fprintf(&b, "|%s,%s,%d,%d", r.Eng, r.Lab, r.Sig, r.Ver)
+	}
+	p.lines = append(p.lines, b.String())
+	return nil
+}
+
+// FuzzScanColPushdownBytes feeds arbitrary payloads through the scan
+// engine's v2 decoder twice — an eager full-projection query and a
+// lazy SHA-predicate query (Get's shape) — and demands an error or
+// rows, never a panic. The lazy run guards the dictionary accessor,
+// which re-reads entries that walk bounds-checked. Whenever the full
+// reference decoder (forEachRow) accepts the payload too, both runs
+// must feed exactly its rows.
+func FuzzScanColPushdownBytes(f *testing.F) {
+	for _, p := range goldenPayloads(f) {
+		f.Add(p)
+	}
+	f.Add([]byte(colMagic + "\x02"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var ref []string
+		cb, refErr := parseColumnarBlock(payload)
+		if refErr == nil {
+			refErr = cb.forEachRow(func(row *scanRow) error {
+				var b strings.Builder
+				fmt.Fprintf(&b, "%s|%s|%d|%d|%d", row.SHA, row.FT, row.At, row.Rank, row.Tot)
+				for _, r := range row.Res {
+					fmt.Fprintf(&b, "|%s,%s,%d,%d", r.E, r.L, r.S, r.V)
+				}
+				ref = append(ref, b.String())
+				return nil
+			})
+		}
+		var eager linesPartial
+		_, eagerErr := scanColPushdown(payload, compileQuery(Query{Cols: ColAll}), "m", &eager)
+		if eagerErr == nil && refErr == nil && !reflect.DeepEqual(eager.lines, ref) {
+			t.Fatalf("eager scan rows diverge from forEachRow:\n got %q\nwant %q", eager.lines, ref)
+		}
+
+		sha := "x"
+		if len(ref) > 0 {
+			sha = ref[len(ref)/2][:strings.IndexByte(ref[len(ref)/2], '|')]
+		}
+		var lazy linesPartial
+		_, lazyErr := scanColPushdown(payload, compileQuery(Query{SHAs: []string{sha}, Cols: ColAll}), "m", &lazy)
+		if lazyErr == nil && refErr == nil {
+			var want []string
+			for _, l := range ref {
+				if strings.HasPrefix(l, sha+"|") {
+					want = append(want, l)
+				}
+			}
+			if !reflect.DeepEqual(lazy.lines, want) {
+				t.Fatalf("lazy SHA scan rows diverge from forEachRow:\n got %q\nwant %q", lazy.lines, want)
+			}
+		}
+	})
+}
+
+// FuzzAnalyzePayloadBytes feeds arbitrary payloads through the member
+// walker's per-member core: an error or a summary, never a panic, and
+// an accepted payload is a version this build reads.
+func FuzzAnalyzePayloadBytes(f *testing.F) {
+	for _, p := range goldenPayloads(f) {
+		f.Add(p)
+	}
+	f.Add([]byte(colMagic + "\x03"))
+	// A header claiming 2^63 rows once decoded to a negative row count
+	// and was accepted.
+	f.Add([]byte(colMagic + "\x02\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x01\x01\x00"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sum, err := analyzePayload(payload, formatMax)
+		if err != nil {
+			return
+		}
+		if sum.ver < FormatV1 || sum.ver > formatMax {
+			t.Fatalf("accepted a v%d payload", sum.ver)
+		}
+		if sum.rows < 0 || sum.raw < 0 {
+			t.Fatalf("accepted %d rows, %d raw bytes", sum.rows, sum.raw)
+		}
+	})
 }

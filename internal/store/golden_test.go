@@ -216,8 +216,8 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Indexed() {
-		t.Fatal("pre-sidecar fixture opened as indexed")
+	if !noSidecars(s) {
+		t.Fatal("pre-sidecar fixture reports a sidecar")
 	}
 	if got := s.NumSamples(); got != 8 {
 		t.Fatalf("fixture samples = %d", got)
@@ -230,33 +230,33 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 		t.Fatalf("v1 fixture decodes to wrong contents:\n got %+v\nwant %+v", wantHist, want)
 	}
 	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify on fallback path: %d, %v", n, err)
+		t.Fatalf("Verify through the in-memory index: %d, %v", n, err)
 	}
 
 	// Upgrade in place.
 	if err := s.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Indexed() {
-		t.Fatal("Reindex did not index the fixture")
+	if !allSidecars(s) {
+		t.Fatal("Reindex did not write the fixture's sidecars")
 	}
 	// Bypass the history cache so the comparison truly exercises the
-	// indexed disk path.
+	// sidecar-backed disk path.
 	for _, sha := range s.SampleHashes() {
 		s.cache.invalidate(sha)
 	}
 	gotHist, gotIter, gotStats := snapshotReads(t, s)
 	if !reflect.DeepEqual(wantHist, gotHist) {
-		t.Fatal("indexed Get diverges from the fallback scan")
+		t.Fatal("sidecar-backed Get diverges from the in-memory index")
 	}
 	if !reflect.DeepEqual(wantIter, gotIter) {
-		t.Fatal("indexed iteration diverges from the fallback scan")
+		t.Fatal("sidecar-backed iteration diverges from the in-memory index")
 	}
 	if wantStats != gotStats {
 		t.Fatalf("stats diverge: %+v vs %+v", wantStats, gotStats)
 	}
 	if n, err := s.Verify(); err != nil || n != 24 {
-		t.Fatalf("Verify on indexed path: %d, %v", n, err)
+		t.Fatalf("Verify after Reindex: %d, %v", n, err)
 	}
 
 	// The upgrade persists: a reopen loads the new sidecars and reads
@@ -265,8 +265,8 @@ func TestGoldenPrePR2Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Indexed() {
-		t.Fatal("upgraded store reopened unindexed")
+	if !allSidecars(s2) {
+		t.Fatal("upgraded store reopened without its sidecars")
 	}
 	reHist, reIter, reStats := snapshotReads(t, s2)
 	if !reflect.DeepEqual(wantHist, reHist) || !reflect.DeepEqual(wantIter, reIter) || wantStats != reStats {
@@ -284,8 +284,8 @@ func TestGoldenV2Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Indexed() {
-		t.Fatal("v2 fixture opened unindexed (sidecars are part of the fixture)")
+	if !allSidecars(s) {
+		t.Fatal("v2 fixture opened without its sidecars (they are part of the fixture)")
 	}
 	sawV2 := false
 	for _, month := range s.Months() {
@@ -310,7 +310,7 @@ func TestGoldenV2Compat(t *testing.T) {
 	}
 
 	// The same partition bytes must also read correctly with the
-	// sidecars gone (sniff-dispatch fallback path) and after Reindex
+	// sidecars gone (indexed in memory at Open) and after Reindex
 	// rebuilds them from the members alone.
 	for _, m := range []string{"2021-05", "2021-06"} {
 		if err := os.Remove(filepath.Join(dir, "scans-"+m+".idx")); err != nil {
@@ -321,8 +321,8 @@ func TestGoldenV2Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("fixture without sidecars opened as indexed")
+	if !noSidecars(s2) {
+		t.Fatal("fixture without sidecars reports one")
 	}
 	noIdxHist, _, _ := snapshotReads(t, s2)
 	if !reflect.DeepEqual(noIdxHist, goldenExpect()) {

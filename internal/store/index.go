@@ -12,10 +12,10 @@
 //   - a SHA→block-set posting list.
 //
 // Get seeks straight to the few blocks that hold its sample instead
-// of gunzipping the whole month. Stores written before the sidecar
-// existed (or whose sidecar does not match the file) fall back
-// transparently to the full streaming scan; Reindex rebuilds sidecars
-// in place by re-walking the gzip members.
+// of gunzipping the whole month. For a month written before the
+// sidecar existed, or whose sidecar does not match the file, Open
+// builds the same index in memory by walking the gzip members
+// (walkPartition); Reindex walks them too and persists the result.
 package store
 
 import (
@@ -100,6 +100,9 @@ type partIndex struct {
 	blocks   []blockMeta
 	postings map[string][]int
 	dirty    bool // blocks appended since the sidecar was last written
+	// persisted marks an index loaded from, or written to, its sidecar;
+	// an index built in memory at Open has none on disk until written.
+	persisted bool
 }
 
 func newPartIndex() *partIndex {
@@ -170,6 +173,14 @@ func (ix *partIndex) fullyZoned() bool {
 	return true
 }
 
+// onDisk reports whether the month has a sidecar matching this index
+// (as of its last write).
+func (ix *partIndex) onDisk() bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.persisted
+}
+
 // snapshotBlocks copies the block list, in file order.
 func (ix *partIndex) snapshotBlocks() []blockMeta {
 	ix.mu.RLock()
@@ -213,6 +224,7 @@ func (ix *partIndex) writeSidecar(dir, month string) error {
 		sf.Postings[sha] = append([]int(nil), ids...)
 	}
 	ix.dirty = false
+	ix.persisted = true
 	ix.mu.Unlock()
 	b, err := json.Marshal(sf)
 	if err != nil {
@@ -226,11 +238,11 @@ func (ix *partIndex) writeSidecar(dir, month string) error {
 
 // loadSidecar reads a month's sidecar and validates it against the
 // partition's current size. Any mismatch, unreadable file, or
-// malformed JSON yields (nil, false, nil): the caller falls back to
-// the streaming scan exactly as if the sidecar never existed. A block
+// malformed JSON yields (nil, false, nil): the caller indexes the
+// partition bytes exactly as if the sidecar never existed. A block
 // tagged with a format version newer than maxVer is different — the
 // data is intact but unreadable by this build, so the error is a
-// *FormatError, never a silent fallback that would then choke on the
+// *FormatError, never a silent re-walk that would then choke on the
 // member bytes.
 func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex, bool, error) {
 	b, err := os.ReadFile(sidecarPath(dir, month))
@@ -243,8 +255,8 @@ func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex
 	}
 	// A sidecar schema from the future is treated like a missing
 	// sidecar, not an error: the partition bytes are self-describing,
-	// so the streaming fallback stays correct (and a future *block*
-	// format inside still fails loudly via the payload sniff).
+	// so indexing them stays correct (and a future *block* format
+	// inside still fails loudly via the payload sniff).
 	if sf.Ver > sidecarVerZones {
 		return nil, false, nil
 	}
@@ -274,9 +286,10 @@ func loadSidecar(dir, month string, partitionSize int64, maxVer int) (*partIndex
 		}
 	}
 	ix := &partIndex{
-		fileSize: sf.FileSize,
-		blocks:   sf.Blocks,
-		postings: sf.Postings,
+		fileSize:  sf.FileSize,
+		blocks:    sf.Blocks,
+		postings:  sf.Postings,
+		persisted: true,
 	}
 	if ix.postings == nil {
 		ix.postings = make(map[string][]int)
@@ -307,154 +320,62 @@ func (c *countingByteReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// indexPartitionFile rebuilds a partition's block index by walking
-// its gzip members one at a time, sniffing each member's payload
-// format. Works on any valid partition — block-written files recover
-// their original block boundaries (and versions); pre-index files
-// yield one block per historical flush. A member in a format newer
-// than maxVer aborts with *FormatError.
-func indexPartitionFile(path string, maxVer int) (*partIndex, error) {
+// walkPartition rebuilds a partition's block index by walking its
+// gzip members one at a time, each analyzed by analyzePayload — the
+// walk behind Open (for months without a usable sidecar), Reindex and
+// RepairDir. Block-written files recover their original block
+// boundaries (and versions); pre-index files yield one block per
+// historical flush. It returns the index of the clean prefix, the
+// offset where that prefix ends, and the first member error: a torn or
+// undecodable member stops the walk there. A nil index means nothing
+// can be trusted: the file could not be opened, or holds a member in a
+// format newer than maxVer (a *FormatError).
+func walkPartition(path string, maxVer int) (*partIndex, int64, error) {
+	ix := newPartIndex()
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return newPartIndex(), nil
+			return ix, 0, nil
 		}
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	cr := &countingByteReader{r: bufio.NewReaderSize(f, 1<<20)}
-	ix := newPartIndex()
 	zr, err := gzip.NewReader(cr)
 	if err != nil {
 		if errors.Is(err, io.EOF) { // empty partition
-			return ix, nil
+			return ix, 0, nil
 		}
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+		return ix, 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 	defer zr.Close()
 	var start int64
-	// mr buffers each member's decompressed bytes so the payload's
-	// leading bytes can be peeked before choosing a decoder.
-	mr := bufio.NewReaderSize(nil, 32<<10)
 	for {
 		zr.Multistream(false)
-		mr.Reset(zr)
-		head, _ := mr.Peek(len(colMagic) + 1)
-		var (
-			rows int
-			raw  int64
-			ver  = sniffVersion(head)
-			shas = make(map[string]int)
-			zone blockZone
-		)
-		switch {
-		case ver == FormatV1:
-			sc := bufio.NewScanner(mr)
-			sbuf := bufpool.GetScanBuf()
-			sc.Buffer(sbuf, 16<<20)
-			var row scanRow
-			var acc zoneAcc
-			for sc.Scan() {
-				// Full decode (not just the hash): Reindex is the repair
-				// path, so malformed rows must keep surfacing as errors.
-				if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-					bufpool.PutScanBuf(sbuf)
-					return nil, fmt.Errorf("store: %s: %w", path, err)
-				}
-				rows++
-				raw += int64(len(sc.Bytes()))
-				shas[row.SHA]++
-				acc.row(&row)
+		payload, err := readPooled(zr)
+		if err != nil {
+			return ix, start, fmt.Errorf("store: %s: block @%d: %w", path, start, err)
+		}
+		sum, err := analyzePayload(payload, maxVer)
+		bufpool.PutBlockBuf(payload)
+		if err != nil {
+			var fe *FormatError
+			if errors.As(err, &fe) {
+				return nil, 0, &FormatError{Path: path, Version: fe.Version, Max: fe.Max}
 			}
-			err := sc.Err()
-			bufpool.PutScanBuf(sbuf)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			zone = acc.z
-		case ver <= maxVer:
-			payload, err := io.ReadAll(mr)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			cb, err := parseColumnarBlock(payload, wantSHA|wantFT|wantEng|wantLab)
-			if err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-			rows, raw = cb.rows, cb.raw
-			for _, sha := range cb.sha {
-				shas[sha]++
-			}
-			if zone, err = zoneOfColBlock(cb); err != nil {
-				return nil, fmt.Errorf("store: %s: %w", path, err)
-			}
-		default:
-			return nil, &FormatError{Path: path, Version: ver, Max: maxVer}
+			return ix, start, fmt.Errorf("store: %s: block @%d: %w", path, start, err)
 		}
 		end := cr.n
-		if rows > 0 || end > start {
-			bm := blockMeta{Offset: start, Len: end - start, Rows: rows, Raw: raw}
-			if ver != FormatV1 {
-				bm.Ver = ver
-			}
-			bm.setZone(zone)
-			ix.appendBlock(bm, shas)
+		if sum.rows > 0 || end > start {
+			ix.appendBlock(sum.meta(start, end-start), sum.shas)
 		}
 		start = end
 		if err := zr.Reset(cr); err != nil {
 			if errors.Is(err, io.EOF) {
-				break
+				return ix, start, nil
 			}
-			return nil, fmt.Errorf("store: %s: %w", path, err)
+			return ix, start, fmt.Errorf("store: %s: block @%d: %w", path, start, err)
 		}
-	}
-	return ix, nil
-}
-
-// scanBlock streams the rows of one block, dispatching on the block's
-// format version. The section reader keeps the decoder inside the
-// member even though members are concatenated.
-func scanBlock(path string, bm blockMeta, maxVer int, fn func(row scanRow)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return scanBlockAt(f, path, bm, maxVer, fn)
-}
-
-// scanBlockAt is scanBlock over an already open partition file, so a
-// multi-block Get opens the file once. The row passed to fn is reused
-// between calls (its strings are owned, only the Res backing array is
-// recycled), so fn must copy what it keeps — every caller goes
-// through rowToReport, which does.
-func scanBlockAt(f *os.File, path string, bm blockMeta, maxVer int, fn func(row scanRow)) error {
-	switch ver := blockVer(bm); {
-	case ver == FormatV1:
-		var row scanRow
-		return scanBlockLinesAt(f, path, bm, func(line []byte) error {
-			if err := decodeScanRow(line, &row); err != nil {
-				return err
-			}
-			fn(row)
-			return nil
-		})
-	case ver <= maxVer:
-		payload, err := readBlockPayloadAt(f, path, bm)
-		if err != nil {
-			return err
-		}
-		defer bufpool.PutBlockBuf(payload)
-		cb, err := parseColumnarBlock(payload, wantAllDicts)
-		if err != nil {
-			return fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-		}
-		return cb.forEachRow(func(row *scanRow) error {
-			fn(*row)
-			return nil
-		})
-	default:
-		return &FormatError{Path: path, Version: ver, Max: maxVer}
 	}
 }
 
@@ -472,19 +393,29 @@ func readBlockPayloadAt(f *os.File, path string, bm blockMeta) ([]byte, error) {
 	}
 	defer bufpool.PutGzipReader(zr)
 	defer zr.Close()
+	buf, err := readPooled(zr)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
+	}
+	return buf, nil
+}
+
+// readPooled reads r to EOF into a pooled block buffer (release with
+// bufpool.PutBlockBuf).
+func readPooled(r io.Reader) ([]byte, error) {
 	buf := bufpool.GetBlockBuf()
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := zr.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return buf, nil
 			}
 			bufpool.PutBlockBuf(buf)
-			return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
+			return nil, err
 		}
 	}
 }

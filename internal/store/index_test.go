@@ -2,10 +2,12 @@ package store
 
 import (
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,7 +122,7 @@ func TestReopenUsesSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Indexed() {
+	if !allSidecars(s2) {
 		t.Fatal("reopened store did not load its sidecar")
 	}
 	if got := s2.TotalStats(); got.Reports != want.Reports || got.RawBytes != want.RawBytes {
@@ -135,7 +137,33 @@ func TestReopenUsesSidecar(t *testing.T) {
 	}
 }
 
-func TestStaleSidecarFallsBack(t *testing.T) {
+// allSidecars reports whether every month of s reads through a
+// sidecar on disk.
+func allSidecars(s *Store) bool {
+	for _, v := range s.SidecarVersions() {
+		if v == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// noSidecars reports whether no month of s has a usable sidecar on
+// disk, i.e. every month reads through an index built at Open.
+func noSidecars(s *Store) bool {
+	for _, v := range s.SidecarVersions() {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStaleSidecarIndexedAtOpen: a partition grown behind its
+// sidecar's back (as an old build, crash, or external tool would
+// leave it) is indexed from its bytes at Open, so reads see every
+// row, and Reindex heals the sidecar in place.
+func TestStaleSidecarIndexedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithBlockSize(2<<10))
 	if err != nil {
@@ -145,8 +173,6 @@ func TestStaleSidecarFallsBack(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Grow the partition behind the sidecar's back (as an old build,
-	// crash, or external tool would): FileSize no longer matches.
 	if err := appendRawMember(t, dir, "2021-05", envelope("ix0007", t0.Add(90*time.Minute), 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -155,28 +181,25 @@ func TestStaleSidecarFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
+	if !noSidecars(s2) {
 		t.Fatal("stale sidecar was trusted")
 	}
-	// The fallback streaming scan sees every row, including the one
-	// appended behind the sidecar's back.
 	h, err := s2.Get("ix0007")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(h.Reports) != 2 {
-		t.Fatalf("fallback missed the appended row: %+v", h.Reports)
+		t.Fatalf("in-memory index missed the appended row: %+v", h.Reports)
 	}
-	// Reindex heals the sidecar in place.
 	if err := s2.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Indexed() {
-		t.Fatal("Reindex did not restore the index")
+	if !allSidecars(s2) {
+		t.Fatal("Reindex did not restore the sidecar")
 	}
 	s2.cache.invalidate("ix0007")
 	if h, err := s2.Get("ix0007"); err != nil || len(h.Reports) != 2 {
-		t.Fatalf("indexed read after heal: %v %+v", err, h)
+		t.Fatalf("read after heal: %v %+v", err, h)
 	}
 }
 
@@ -197,11 +220,11 @@ func TestCorruptSidecarIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
+	if !noSidecars(s2) {
 		t.Fatal("corrupt sidecar was trusted")
 	}
 	if h, err := s2.Get("ix0003"); err != nil || len(h.Reports) != 1 {
-		t.Fatalf("fallback read: %v %+v", err, h)
+		t.Fatalf("read without sidecar: %v %+v", err, h)
 	}
 }
 
@@ -219,9 +242,12 @@ func TestReindexMatchesWriterIndex(t *testing.T) {
 	if live == nil {
 		t.Fatal("no live index")
 	}
-	rebuilt, err := indexPartitionFile(s.partPath("2021-05"), formatMax)
+	rebuilt, end, err := walkPartition(s.partPath("2021-05"), formatMax)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, size := live.state(); end != size {
+		t.Fatalf("walk ended at %d, partition holds %d", end, size)
 	}
 	if !reflect.DeepEqual(live.snapshotBlocks(), rebuilt.snapshotBlocks()) {
 		t.Fatalf("rebuilt blocks diverge:\nlive    %+v\nrebuilt %+v",
@@ -252,55 +278,151 @@ func TestDeleteSidecarThenReindex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("store indexed without a sidecar")
+	if !noSidecars(s2) {
+		t.Fatal("store reports a sidecar it does not have")
 	}
-	fallback, err := s2.Get("ix0031")
+	inMemory, err := s2.Get("ix0031")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Indexed() {
-		t.Fatal("Reindex left the store unindexed")
+	if !allSidecars(s2) {
+		t.Fatal("Reindex left the store without sidecars")
 	}
-	// The indexed read returns exactly what the fallback scan returned.
-	// (Invalidate the cached copy first so Get really hits the index.)
+	// The sidecar-backed read returns exactly what the in-memory index
+	// returned. (Invalidate the cached copy first so Get really reads.)
 	s2.cache.invalidate("ix0031")
 	indexed, err := s2.Get("ix0031")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fallback, indexed) {
-		t.Fatalf("indexed read diverges from fallback:\nfallback %+v\nindexed  %+v", fallback, indexed)
+	if !reflect.DeepEqual(inMemory, indexed) {
+		t.Fatalf("sidecar-backed read diverges:\nin-memory %+v\nsidecar   %+v", inMemory, indexed)
 	}
 	// And the new sidecar survives a reopen.
 	s3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s3.Indexed() {
+	if !allSidecars(s3) {
 		t.Fatal("healed sidecar not loaded on reopen")
 	}
 }
 
-func TestAppendToUnindexedPartitionStaysUnindexed(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+// dirState captures every file name and its bytes.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillStore(t, s, 20)
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// removeSidecars deletes every index sidecar in dir.
+func removeSidecars(t *testing.T, dir string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "*.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range matches {
+		if err := os.Remove(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSidecarlessStoreReadsWriteNothing pins the contract for a store
+// whose sidecars are gone: Open indexes every month in memory, every
+// read equals the sidecar-backed store's, and neither Open nor any
+// read path writes a file.
+func TestSidecarlessStoreReadsWriteNothing(t *testing.T) {
+	for _, format := range []int{FormatV1, FormatV2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, WithBlockSize(2<<10), WithFormat(format))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 90; i++ {
+				at := t0.Add(time.Duration(i%3)*31*24*time.Hour + time.Duration(i)*time.Minute)
+				if err := s.Put(envelope(fmt.Sprintf("nw%03d", i%40), at, i%6)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			withSidecars, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := snapshotStore(t, withSidecars)
+			wantRows, err := withSidecars.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			removeSidecars(t, dir)
+			before := dirState(t, dir)
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for month, ver := range s2.SidecarVersions() {
+				if ver != 0 {
+					t.Fatalf("%s: sidecar version %d without a sidecar", month, ver)
+				}
+			}
+			if got := snapshotStore(t, s2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reads diverge from the sidecar-backed store:\n got %+v\nwant %+v", got, want)
+			}
+			var census CountAgg
+			if _, err := s2.Scan(Query{Cols: ColAll}, &census); err != nil || census.N != int64(wantRows) {
+				t.Fatalf("Scan counted %d rows (%v), want %d", census.N, err, wantRows)
+			}
+			var iterated atomic.Int64
+			if err := s2.IterAll(2, func(string, *report.ScanReport) error {
+				iterated.Add(1)
+				return nil
+			}); err != nil || iterated.Load() != int64(wantRows) {
+				t.Fatalf("IterAll saw %d rows (%v), want %d", iterated.Load(), err, wantRows)
+			}
+			if n, err := s2.Verify(); err != nil || n != wantRows {
+				t.Fatalf("Verify = %d, %v; want %d", n, err, wantRows)
+			}
+			if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("opening and reading a sidecar-less store changed its directory")
+			}
+		})
+	}
+}
+
+// TestAppendToSidecarlessPartitionWritesReindexSidecar: the first
+// Put+Flush into a month indexed in memory at Open persists a sidecar
+// byte-identical to the one Reindex writes for the grown partition.
+func TestAppendToSidecarlessPartitionWritesReindexSidecar(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, WithBlockSize(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 60)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(sidecarPath(dir, "2021-05")); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen without the sidecar, then append: the writer must not
-	// start a partial index (its sidecar would have holes), and reads
-	// must keep working through the fallback scan.
+	removeSidecars(t, dir)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -311,15 +433,61 @@ func TestAppendToUnindexedPartitionStaysUnindexed(t *testing.T) {
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Indexed() {
-		t.Fatal("append to a sidecar-less partition created a partial index")
+	if !allSidecars(s2) {
+		t.Fatal("Flush did not persist the grown month's sidecar")
 	}
-	if _, err := os.Stat(sidecarPath(dir, "2021-05")); !os.IsNotExist(err) {
-		t.Fatalf("partial sidecar written: %v", err)
+	written, err := os.ReadFile(sidecarPath(dir, "2021-05"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, sha := range []string{"ix0000", "late"} {
 		if h, err := s2.Get(sha); err != nil || len(h.Reports) != 1 {
 			t.Fatalf("%s: %v %+v", sha, err, h)
 		}
+	}
+	if err := s2.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	reindexed, err := os.ReadFile(sidecarPath(dir, "2021-05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(written) != string(reindexed) {
+		t.Fatalf("Flush-written sidecar differs from Reindex's:\nflush   %s\nreindex %s", written, reindexed)
+	}
+}
+
+// TestWriteToPartitionGrownUnderOpenStore: a partition that changes
+// size under an open store no longer matches its index, so the next
+// write into it fails with ErrIndexMismatch instead of leaving holes
+// in the index; Reindex re-walks the bytes and writes resume.
+func TestWriteToPartitionGrownUnderOpenStore(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 10)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRawMember(t, dir, "2021-05", envelope("ix0003", t0.Add(time.Hour), 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(envelope("after", t0.Add(2*time.Hour), 1)); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("Put into a grown partition: %v, want ErrIndexMismatch", err)
+	}
+	if err := s.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(envelope("after", t0.Add(2*time.Hour), 1)); err != nil {
+		t.Fatal(err)
+	}
+	s.cache.invalidate("ix0003")
+	if h, err := s.Get("ix0003"); err != nil || len(h.Reports) != 2 {
+		t.Fatalf("ix0003 after Reindex: %v %+v", err, h)
+	}
+	if n, err := s.Verify(); err != nil || n != 12 {
+		t.Fatalf("Verify = %d, %v; want 12", n, err)
 	}
 }

@@ -1,11 +1,11 @@
 // Per-block aggregation kernels for the pushdown scan engine.
 //
-// A kernel is an Agg: it mints one Partial per scan job (block or
-// fallback month), the workers feed matching RowViews into partials
-// concurrently, and Scan folds the partials back in deterministic job
-// order — month ascending, block sequence ascending, which is exactly
-// row storage order. Kernels whose merge is commutative (counts,
-// min/max) don't care; FlipCountAgg depends on that ordering.
+// A kernel is an Agg: it mints one Partial per scan job (one block),
+// the workers feed matching RowViews into partials concurrently, and
+// Scan folds the partials back in deterministic job order — month
+// ascending, block sequence ascending, which is exactly row storage
+// order. Kernels whose merge is commutative (counts, min/max) don't
+// care; FlipCountAgg depends on that ordering.
 //
 // Partial states are pooled where the steady-state matters: the
 // group-by partials reuse their maps across blocks (clear() keeps the

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"vtdynamics/internal/bufpool"
+	"vtdynamics/internal/report"
 )
 
 // MigrateStats summarizes one Migrate pass.
@@ -60,14 +61,11 @@ func (s *Store) migrateMonth(month string) (bool, error) {
 	path := s.partPath(month)
 	ix := s.index(month)
 	if ix == nil {
-		var err error
-		ix, err = indexPartitionFile(path, s.maxFormat)
-		if err != nil {
-			return false, err
-		}
+		return false, nil // accounted, but no partition
 	}
+	blocks := ix.snapshotBlocks()
 	needs := false
-	for _, bm := range ix.snapshotBlocks() {
+	for _, bm := range blocks {
 		if bm.Rows > 0 && blockVer(bm) == FormatV1 {
 			needs = true
 			break
@@ -78,12 +76,12 @@ func (s *Store) migrateMonth(month string) (bool, error) {
 	}
 
 	tmp := path + ".migrate"
-	newIx, srcSum, stored, err := s.rewriteMonth(path, tmp)
+	newIx, srcSum, stored, err := s.rewriteMonth(month, blocks, tmp)
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
 	}
-	dstSum, err := s.canonicalSum(tmp)
+	dstSum, err := s.canonicalSum(month, tmp, newIx.snapshotBlocks())
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
@@ -112,11 +110,11 @@ func (s *Store) migrateMonth(month string) (bool, error) {
 	return true, nil
 }
 
-// rewriteMonth streams src's rows in storage order into dst as
-// v2 blocks cut at the store's block-size target, returning the new
-// block index, the canonical row hash of the source, and the bytes
-// written.
-func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error) {
+// rewriteMonth streams the month's rows (its blocks, in storage
+// order) into dst as v2 blocks cut at the store's block-size target,
+// returning the new block index, the canonical row hash of the source,
+// and the bytes written.
+func (s *Store) rewriteMonth(month string, blocks []blockMeta, dst string) (*partIndex, []byte, int64, error) {
 	f, err := os.Create(dst)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: migrate: %w", err)
@@ -125,12 +123,11 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 	newIx := newPartIndex()
 	srcHash := sha256.New()
 	var (
-		pending  = bufpool.GetBlockBuf()
-		rows     int
-		raw      int64
-		shas     = make(map[string]int)
-		acc      zoneAcc
-		innerErr error
+		pending = bufpool.GetBlockBuf()
+		rows    int
+		raw     int64
+		shas    = make(map[string]int)
+		acc     zoneAcc
 	)
 	defer func() { bufpool.PutBlockBuf(pending) }()
 	cutBlock := func() error {
@@ -169,32 +166,23 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 		acc.reset()
 		return nil
 	}
-	lineBuf := bufpool.GetBuf()
-	defer func() { bufpool.PutBuf(lineBuf) }()
-	err = s.scanPartition(src, func(row scanRow) {
-		if innerErr != nil {
-			return
-		}
-		// Canonical re-encode: migration normalizes every row to the
-		// writer's own encoding, which for writer-produced partitions
-		// is the identity.
-		r := rowToReport(row)
-		lineBuf = appendScanRow(lineBuf[:0], r)
-		srcHash.Write(lineBuf)
+	// Canonical re-encode: migration normalizes every row to the
+	// writer's own encoding, which for writer-produced partitions is
+	// the identity.
+	err = s.canonicalLines(month, s.partPath(month), blocks, func(line []byte, r *report.ScanReport) error {
+		srcHash.Write(line)
 		srcHash.Write([]byte{'\n'})
-		pending = append(pending, lineBuf...)
+		pending = append(pending, line...)
 		pending = append(pending, '\n')
 		rows++
-		raw += int64(len(lineBuf))
-		shas[row.SHA]++
-		acc.row(&row)
+		raw += int64(len(line))
+		shas[r.SHA256]++
+		acc.scan(r)
 		if len(pending) >= s.blockSize {
-			innerErr = cutBlock()
+			return cutBlock()
 		}
-	}, nil)
-	if err == nil {
-		err = innerErr
-	}
+		return nil
+	})
 	if err == nil {
 		err = cutBlock()
 	}
@@ -212,17 +200,45 @@ func (s *Store) rewriteMonth(src, dst string) (*partIndex, []byte, int64, error)
 // canonicalSum hashes the canonical row encoding of every row in a
 // partition file, in storage order — the verification fingerprint
 // Migrate compares across the rewrite.
-func (s *Store) canonicalSum(path string) ([]byte, error) {
+func (s *Store) canonicalSum(month, path string, blocks []blockMeta) ([]byte, error) {
 	h := sha256.New()
-	lineBuf := bufpool.GetBuf()
-	defer func() { bufpool.PutBuf(lineBuf) }()
-	err := s.scanPartition(path, func(row scanRow) {
-		lineBuf = appendScanRow(lineBuf[:0], rowToReport(row))
-		h.Write(lineBuf)
+	err := s.canonicalLines(month, path, blocks, func(line []byte, _ *report.ScanReport) error {
+		h.Write(line)
 		h.Write([]byte{'\n'})
-	}, nil)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return h.Sum(nil), nil
+}
+
+// canonicalLines feeds fn every row of the given blocks of path, in
+// storage order, decoded through the scan engine: the row as a report
+// and its canonical encoding. Both are reused between calls.
+func (s *Store) canonicalLines(month, path string, blocks []blockMeta, fn func(line []byte, r *report.ScanReport) error) error {
+	cq := compileQuery(Query{Cols: ColAll})
+	k := lineKernel{fn: fn}
+	for _, bm := range blocks {
+		if bm.Rows == 0 {
+			continue
+		}
+		if _, err := s.runScanJob(scanJob{month: month, path: path, bm: bm}, cq, &k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lineKernel renders each row as its canonical v1 line.
+type lineKernel struct {
+	r    report.ScanReport
+	line []byte
+	fn   func(line []byte, r *report.ScanReport) error
+}
+
+func (k *lineKernel) Row(rv *RowView) error {
+	rv.fill(&k.r)
+	k.line = appendScanRow(k.line[:0], &k.r)
+	return k.fn(k.line, &k.r)
 }

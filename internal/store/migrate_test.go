@@ -111,7 +111,7 @@ func TestMigrateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reopened.Indexed() {
+	if !allSidecars(reopened) {
 		t.Fatal("migrated store reopened unindexed")
 	}
 	if got := snapshotStore(t, reopened); !reflect.DeepEqual(got, want) {
@@ -140,8 +140,8 @@ func TestMigrateEndToEnd(t *testing.T) {
 }
 
 // TestMigrateUnindexedStore migrates a store whose sidecars were
-// deleted (the pre-sidecar fallback path): Migrate must reindex as it
-// goes and leave the store fully indexed in v2.
+// deleted: the months Open indexed in memory migrate like any other
+// and leave v2 sidecars behind.
 func TestMigrateUnindexedStore(t *testing.T) {
 	dir := migrateFixture(t, 60)
 	entries, err := os.ReadDir(dir)
@@ -165,14 +165,14 @@ func TestMigrateUnindexedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Indexed() {
-		t.Fatal("expected unindexed store after sidecar removal")
+	if !noSidecars(s) {
+		t.Fatal("expected no sidecars after their removal")
 	}
 	if _, err := s.Migrate(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Indexed() {
-		t.Fatal("store not indexed after migrate")
+	if !allSidecars(s) {
+		t.Fatal("migrate left months without sidecars")
 	}
 	if got := snapshotStore(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("migrate of unindexed store diverged:\n got %+v\nwant %+v", got, want)

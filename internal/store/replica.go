@@ -31,7 +31,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,10 +44,9 @@ import (
 	"vtdynamics/internal/report"
 )
 
-// ErrNotIndexed is returned by the replication hooks for months
-// without a block index (pre-sidecar stores); Reindex upgrades them
-// in place.
-var ErrNotIndexed = errors.New("store: partition not indexed (run Reindex first)")
+// ErrNotIndexed is returned by the replication hooks for months the
+// store holds no partition (and so no block index) for.
+var ErrNotIndexed = errors.New("store: no block index for month")
 
 // ErrReplMismatch is returned by ApplyBlocks when a replicated block
 // disagrees with the replica's committed state or with its own
@@ -114,7 +112,7 @@ func (ix *partIndex) state() (int, int64) {
 }
 
 // ReplState returns the committed replication position of every
-// indexed month. Blocks recorded here are fully on disk: the index is
+// month. Blocks recorded here are fully on disk: the index is
 // only appended to after a block's bytes are written.
 func (s *Store) ReplState() map[string]MonthState {
 	s.imu.Lock()
@@ -131,7 +129,7 @@ func (s *Store) ReplState() map[string]MonthState {
 // starting at sequence number seq, additionally capped at maxBytes of
 // compressed payload (always returning at least one block when any is
 // due). maxBlocks/maxBytes <= 0 mean unlimited. A month that has no
-// index returns ErrNotIndexed; a seq past the committed count returns
+// partition returns ErrNotIndexed; a seq past the committed count returns
 // ErrUnknownBlock (seq == count returns an empty slice — the caller
 // is caught up).
 func (s *Store) BlocksSince(month string, seq, maxBlocks int, maxBytes int64) ([]ReplBlock, error) {
@@ -218,9 +216,9 @@ type payloadSummary struct {
 }
 
 // analyzePayload decodes a block payload far enough to know its
-// version, row count, JSONL-equivalent raw bytes, and per-sample row
-// counts. This is the per-member core of indexPartitionFile, applied
-// to one already-decompressed payload.
+// version, row count, JSONL-equivalent raw bytes, per-sample row
+// counts and zone map — the per-member core of walkPartition, and
+// what ApplyBlocks and Verify check block entries against.
 func analyzePayload(payload []byte, maxVer int) (payloadSummary, error) {
 	sum := payloadSummary{shas: make(map[string]int)}
 	sum.ver = sniffVersion(payload)
@@ -246,7 +244,7 @@ func analyzePayload(payload []byte, maxVer int) (payloadSummary, error) {
 		}
 		sum.zone = acc.z
 	case sum.ver <= maxVer:
-		cb, err := parseColumnarBlock(payload, wantSHA|wantFT|wantEng|wantLab)
+		cb, err := parseColumnarBlock(payload)
 		if err != nil {
 			return sum, err
 		}
@@ -261,6 +259,17 @@ func analyzePayload(payload []byte, maxVer int) (payloadSummary, error) {
 		return sum, &FormatError{Version: sum.ver, Max: maxVer}
 	}
 	return sum, nil
+}
+
+// meta is the block entry for a member at [off, off+n) whose payload
+// sum describes.
+func (sum payloadSummary) meta(off, n int64) blockMeta {
+	bm := blockMeta{Offset: off, Len: n, Rows: sum.rows, Raw: sum.raw}
+	if sum.ver != FormatV1 {
+		bm.Ver = sum.ver
+	}
+	bm.setZone(sum.zone)
+	return bm
 }
 
 // ApplyBlocks verifies and appends replicated blocks to month's
@@ -297,14 +306,7 @@ func (s *Store) ApplyBlocks(month string, blocks []ReplBlock, data [][]byte) err
 	path := s.partPath(month)
 	ix := s.index(month)
 	if ix == nil {
-		// A month this replica has never seen starts an empty index —
-		// but only when there is genuinely nothing on disk; an existing
-		// unindexed partition must be repaired or reindexed first.
-		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-			return fmt.Errorf("%w: %s", ErrNotIndexed, month)
-		}
-		ix = newPartIndex()
-		s.setIndex(month, ix)
+		ix = newPartIndex() // a month this replica has never seen
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -320,6 +322,7 @@ func (s *Store) ApplyBlocks(month string, blocks []ReplBlock, data [][]byte) err
 		return fmt.Errorf("%w: %s partition is %d bytes, index covers %d (repair the replica)",
 			ErrReplMismatch, month, fi.Size(), size)
 	}
+	s.setIndex(month, ix)
 	for i, b := range blocks {
 		if b.Month != month {
 			return fmt.Errorf("%w: block %d is for %q, batch is for %s", ErrReplMismatch, i, b.Month, month)
@@ -339,12 +342,7 @@ func (s *Store) ApplyBlocks(month string, blocks []ReplBlock, data [][]byte) err
 		if _, err := f.Write(data[i]); err != nil {
 			return fmt.Errorf("store: %s seq %d: %w", month, b.Seq, err)
 		}
-		bm := blockMeta{Offset: b.Offset, Len: b.Len, Rows: b.Rows, Raw: b.Raw}
-		if b.Ver != FormatV1 {
-			bm.Ver = b.Ver
-		}
-		bm.setZone(sum.zone)
-		ix.appendBlock(bm, sum.shas)
+		ix.appendBlock(sum.meta(b.Offset, b.Len), sum.shas)
 		for sha := range sum.shas {
 			sh := s.shardFor(sha)
 			sh.mu.Lock()
@@ -386,21 +384,11 @@ func (s *Store) verifyMemberPayload(data []byte, b ReplBlock) (payloadSummary, e
 	defer bufpool.PutGzipReader(zr)
 	defer zr.Close()
 	zr.Multistream(false)
-	payload := bufpool.GetBlockBuf()
-	defer bufpool.PutBlockBuf(payload)
-	for {
-		if len(payload) == cap(payload) {
-			payload = append(payload, 0)[:len(payload)]
-		}
-		n, err := zr.Read(payload[len(payload):cap(payload)])
-		payload = payload[:len(payload)+n]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return payloadSummary{}, fmt.Errorf("%w: %s seq %d: corrupt member: %v", ErrReplMismatch, b.Month, b.Seq, err)
-		}
+	payload, err := readPooled(zr)
+	if err != nil {
+		return payloadSummary{}, fmt.Errorf("%w: %s seq %d: corrupt member: %v", ErrReplMismatch, b.Month, b.Seq, err)
 	}
+	defer bufpool.PutBlockBuf(payload)
 	// Exactly one member: trailing bytes would smuggle unaccounted rows
 	// past the index.
 	if err := zr.Reset(br); err == nil {
@@ -559,9 +547,10 @@ type RepairStats struct {
 
 // RepairDir restores a store directory to a durable, indexed state
 // after a crash: every month whose sidecar does not cleanly cover its
-// partition is re-walked member by member, the partition is truncated
-// at the first unreadable byte (a torn tail from an interrupted
-// append), and a fresh sidecar is written. Run it before Open on a
+// partition is re-walked member by member (walkPartition), the
+// partition is truncated at the end of its clean prefix (dropping a
+// torn tail from an interrupted append), and a fresh sidecar is
+// written. Run it before Open on a
 // replica so the follower's cursor — derived from the sidecars —
 // points at its last durable block boundary; everything truncated is
 // simply re-pulled from the leader. Months in a format newer than
@@ -591,8 +580,8 @@ func RepairDir(dir string) (RepairStats, error) {
 		} else if ok {
 			continue // sidecar cleanly covers the partition
 		}
-		ix, goodEnd, err := tolerantIndexPartition(path)
-		if err != nil {
+		ix, goodEnd, err := walkPartition(path, formatMax)
+		if ix == nil {
 			return rs, err
 		}
 		if goodEnd < fi.Size() {
@@ -609,58 +598,4 @@ func RepairDir(dir string) (RepairStats, error) {
 	}
 	sort.Strings(rs.Repaired)
 	return rs, nil
-}
-
-// tolerantIndexPartition walks a partition's gzip members like
-// indexPartitionFile, but stops at the first undecodable member and
-// reports the last good member boundary instead of failing — the
-// repair primitive for torn tails. A member in a future format is
-// still a hard error: the data is intact, this build is just too old.
-func tolerantIndexPartition(path string) (*partIndex, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return newPartIndex(), 0, nil
-		}
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	cr := &countingByteReader{r: bufio.NewReaderSize(f, 1<<20)}
-	ix := newPartIndex()
-	zr, err := gzip.NewReader(cr)
-	if err != nil {
-		// Not even a whole gzip header: the entire file is torn.
-		return ix, 0, nil
-	}
-	defer zr.Close()
-	var start int64
-	for {
-		zr.Multistream(false)
-		payload, err := io.ReadAll(zr)
-		if err != nil {
-			return ix, start, nil // torn member: stop at the last boundary
-		}
-		sum, err := analyzePayload(payload, formatMax)
-		if err != nil {
-			var fe *FormatError
-			if errors.As(err, &fe) {
-				return nil, 0, &FormatError{Path: path, Version: fe.Version, Max: fe.Max}
-			}
-			return ix, start, nil // undecodable payload: treat as torn
-		}
-		end := cr.n
-		if sum.rows > 0 || end > start {
-			bm := blockMeta{Offset: start, Len: end - start, Rows: sum.rows, Raw: sum.raw}
-			if sum.ver != FormatV1 {
-				bm.Ver = sum.ver
-			}
-			bm.setZone(sum.zone)
-			ix.appendBlock(bm, sum.shas)
-		}
-		start = end
-		if err := zr.Reset(cr); err != nil {
-			// EOF is the clean end; anything else is a torn next header.
-			return ix, start, nil
-		}
-	}
 }

@@ -168,8 +168,8 @@ func TestReplicationRoundTripParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reopened.Indexed() {
-				t.Fatal("reopened follower is not indexed")
+			if !allSidecars(reopened) {
+				t.Fatal("reopened follower lacks sidecars")
 			}
 			if _, err := reopened.Verify(); err != nil {
 				t.Fatalf("reopened follower Verify: %v", err)
@@ -508,8 +508,8 @@ func TestRepairDirTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Indexed() {
-		t.Fatal("repaired store not indexed")
+	if !allSidecars(s) {
+		t.Fatal("repaired store lacks sidecars")
 	}
 	if _, err := s.Verify(); err != nil {
 		t.Fatal(err)

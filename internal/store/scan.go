@@ -1,20 +1,22 @@
 // Pushdown scan engine: zone-pruned, column-projected aggregation.
 //
-// Scan is the store's whole-dataset query path — the engine behind
-// StatsByType, Verify's row pass, time-bounded vtquery reads, and the
-// experiments' store-backed dynamics sweeps. Where IterAll gunzips
-// every block and materializes every row as a report.ScanReport, Scan
+// Scan is the store's one block reader. Whole-store passes (StatsByType,
+// Verify's row pass, IterAll, time-bounded vtquery reads, the
+// experiments' store-backed dynamics sweeps) run it through Scan, and
+// Get decodes each of its sample's blocks through the same job runner
+// with a SHA-predicate query. Every month has a block index (Open builds
+// one in memory for months without a usable sidecar), so the engine
 // works strictly top-down, skipping work at three levels:
 //
-//  1. Block pruning. Before touching a partition, each sidecar block
-//     entry is tested against the query: empty blocks, blocks whose
-//     posting list lacks every requested sample, blocks whose zone
-//     time bounds (or, for pre-zone entries, the month's natural
-//     bounds) miss the time range, blocks whose file-type/engine/label
-//     fingerprints cannot intersect the predicate sets, and blocks
-//     with zero malicious rows under MaliciousOnly are all skipped
-//     without a single byte of decompression. Fingerprint pruning is
-//     one-sided: a false positive costs a scan, never a wrong answer.
+//  1. Block pruning. Before touching a partition, each block entry is
+//     tested against the query: empty blocks, blocks whose posting
+//     list lacks every requested sample, blocks whose zone time bounds
+//     (or, for pre-zone entries, the month's natural bounds) miss the
+//     time range, blocks whose file-type/engine/label fingerprints
+//     cannot intersect the predicate sets, and blocks with zero
+//     malicious rows under MaliciousOnly are all skipped without a
+//     single byte of decompression. Fingerprint pruning is one-sided:
+//     a false positive costs a scan, never a wrong answer.
 //  2. Column projection. A scanned v2 block decodes only the column
 //     segments the query's predicates and projection actually touch;
 //     the rest are skipped whole (their lengths are in the payload),
@@ -26,15 +28,15 @@
 //     block sequence ascending), so results are independent of worker
 //     count and scheduling.
 //
-// v1 blocks and unindexed months fall back to full row decode with
-// the same row-level filter, so mixed-format stores stay correct —
-// pinned by FuzzScanPushdownDifferential, which compares Scan against
-// the naive IterAll filter over random v1/v2/mixed stores.
+// v1 blocks decode row by row through the same row-level filter, so
+// mixed-format stores stay correct — pinned by
+// FuzzScanPushdownDifferential, which compares Scan against a naive
+// filter over independently decoded rows of random v1/v2/mixed stores.
 //
 // Accounting identity (checked by the metrics invariant suite): every
-// sidecar block a Scan considers is either pruned (for exactly one
-// reason) or scanned — store_blocks_pruned_total summed over reasons
-// plus store_scan_blocks_scanned_total equals store_scan_blocks_total.
+// block a Scan considers is either pruned (for exactly one reason) or
+// scanned — store_blocks_pruned_total summed over reasons plus
+// store_scan_blocks_scanned_total equals store_scan_blocks_total.
 package store
 
 import (
@@ -115,9 +117,40 @@ type RowView struct {
 	Res   []ResView
 }
 
-// Partial accumulates one job's (one block's, or one unindexed
-// month's) rows. Row is called from a single goroutine per partial;
-// distinct partials run concurrently.
+// fill writes the view's columns into r, reusing r.Results' backing
+// array — the one RowView → ScanReport conversion that Get, IterAll,
+// Migrate and Verify share.
+func (rv *RowView) fill(r *report.ScanReport) {
+	*r = report.ScanReport{
+		SHA256:       rv.SHA,
+		FileType:     rv.FT,
+		AnalysisDate: fromUnix(rv.At),
+		AVRank:       rv.Rank,
+		EnginesTotal: rv.Tot,
+		Results:      r.Results[:0],
+	}
+	for i := range rv.Res {
+		e := &rv.Res[i]
+		r.Results = append(r.Results, report.EngineResult{
+			Engine:           e.Eng,
+			Verdict:          report.Verdict(e.Ver),
+			SignatureVersion: e.Sig,
+			Label:            e.Lab,
+		})
+	}
+}
+
+// report builds a fresh report from the view. Results is non-nil even
+// when empty, matching rowToReport.
+func (rv *RowView) report() *report.ScanReport {
+	r := &report.ScanReport{Results: make([]report.EngineResult, 0, len(rv.Res))}
+	rv.fill(r)
+	return r
+}
+
+// Partial accumulates one job's (one block's) rows. Row is called
+// from a single goroutine per partial; distinct partials run
+// concurrently.
 type Partial interface {
 	Row(rv *RowView) error
 }
@@ -162,8 +195,6 @@ type ScanStats struct {
 	// ColumnsSkipped counts column segments of scanned v2 blocks the
 	// query never touched.
 	ColumnsSkipped int64
-	// FallbackMonths counts unindexed months streamed end to end.
-	FallbackMonths int
 }
 
 // PrunedTotal sums Pruned across reasons.
@@ -239,8 +270,8 @@ func (cq *compiledQuery) touchedSegments() int {
 }
 
 // matchScanRow is the row-level filter over a fully decoded row — the
-// v1 / fallback path, and the reference semantics the v2 pushdown
-// loop must agree with (differential fuzzer).
+// v1 path, and the reference semantics the v2 pushdown loop must agree
+// with (differential fuzzer).
 func (cq *compiledQuery) matchScanRow(row *scanRow) bool {
 	if cq.shaSet != nil && !cq.shaSet[row.SHA] {
 		return false
@@ -295,12 +326,11 @@ func monthBounds(month string) (start, end int64, ok bool) {
 	return t.Unix(), t.AddDate(0, 1, 0).Unix() - 1, true
 }
 
-// scanJob is one unit of a Scan: a single indexed block, or a whole
-// unindexed month.
+// scanJob is one unit of a Scan or a Get: a single block of a month.
 type scanJob struct {
 	month string
 	path  string
-	bm    *blockMeta
+	bm    blockMeta
 }
 
 // prunesBlock decides whether one sidecar entry can be skipped,
@@ -357,45 +387,37 @@ func (ix *partIndex) postingSeqsFor(shas []string) map[int]bool {
 }
 
 // Scan runs one pushdown aggregation over the store: plan (prune
-// blocks via sidecar zone maps), execute (decode surviving blocks
-// with column projection on a worker pool), merge (fold partials in
-// deterministic job order). It flushes first, like IterAll.
+// blocks via their zone maps), execute (decode surviving blocks with
+// column projection on a worker pool), merge (fold partials in
+// deterministic job order). It flushes first.
 func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
-	stats := ScanStats{Pruned: make(map[string]int, len(pruneReasons))}
 	if err := s.Flush(); err != nil {
-		return stats, err
+		return ScanStats{}, err
 	}
+	return s.scan(s.Months(), q, agg)
+}
+
+// scan is Scan over the given months, without the flush.
+func (s *Store) scan(months []string, q Query, agg Agg) (ScanStats, error) {
+	stats := ScanStats{Pruned: make(map[string]int, len(pruneReasons))}
 	cq := compileQuery(q)
 	skippedPerBlock := int64(numColSegs - cq.touchedSegments())
 
-	// Plan: walk every sidecar entry, prune or schedule.
+	// Plan: walk every block entry, prune or schedule.
 	var jobs []scanJob
-	for _, month := range s.Months() {
-		path := s.partPath(month)
-		lo, hi, boundOK := monthBounds(month)
+	for _, month := range months {
 		ix := s.index(month)
 		if ix == nil {
-			// Unindexed month: nothing to prune block-wise; the month's
-			// natural bounds still let a time query skip it whole.
-			if boundOK {
-				if (q.Since != 0 && hi < q.Since) || (q.Until != 0 && lo > q.Until) {
-					continue
-				}
-			}
-			stats.FallbackMonths++
-			if fi, err := os.Stat(path); err == nil {
-				stats.CompressedBytes += fi.Size()
-			}
-			jobs = append(jobs, scanJob{month: month, path: path})
-			continue
+			continue // accounted (a replica's stats snapshot), no partition yet
 		}
+		path := s.partPath(month)
+		lo, hi, boundOK := monthBounds(month)
 		var shaAllowed map[int]bool
 		if cq.shaSet != nil {
 			shaAllowed = ix.postingSeqsFor(q.SHAs)
 		}
 		for seq, bm := range ix.snapshotBlocks() {
 			stats.Blocks++
-			bm := bm
 			if reason := cq.prunesBlock(&bm, seq, lo, hi, boundOK, shaAllowed); reason != "" {
 				stats.Pruned[reason]++
 				continue
@@ -405,22 +427,15 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 			if blockVer(bm) != FormatV1 {
 				stats.ColumnsSkipped += skippedPerBlock
 			}
-			jobs = append(jobs, scanJob{month: month, path: path, bm: &bm})
+			jobs = append(jobs, scanJob{month: month, path: path, bm: bm})
 		}
 	}
 
-	// Execute: one partial per job, workers pull jobs, results keep
-	// job order for the deterministic merge.
-	workers := q.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// Execute: one partial per job; results keep job order for the
+	// deterministic merge.
 	partials := make([]Partial, len(jobs))
 	var rows atomic.Int64
-	runJob := func(i int) error {
+	err := fanOut(q.Workers, len(jobs), func(i int) error {
 		pt := agg.NewPartial()
 		n, err := s.runScanJob(jobs[i], cq, pt)
 		if err != nil {
@@ -429,49 +444,7 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 		partials[i] = pt
 		rows.Add(n)
 		return nil
-	}
-	var err error
-	if workers <= 1 {
-		for i := range jobs {
-			if err = runJob(i); err != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		jobc := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobc {
-					mu.Lock()
-					failed := firstErr != nil
-					mu.Unlock()
-					if failed {
-						continue
-					}
-					if err := runJob(i); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		for i := range jobs {
-			jobc <- i
-		}
-		close(jobc)
-		wg.Wait()
-		err = firstErr
-	}
+	})
 	stats.Rows = rows.Load()
 	s.recordScan(stats)
 	if err != nil {
@@ -480,14 +453,57 @@ func (s *Store) Scan(q Query, agg Agg) (ScanStats, error) {
 
 	// Merge in job order: month ascending, block sequence ascending.
 	for _, pt := range partials {
-		if pt == nil {
-			continue
-		}
 		if err := agg.Merge(pt); err != nil {
 			return stats, err
 		}
 	}
 	return stats, nil
+}
+
+// fanOut runs run(0), …, run(n-1) on up to workers goroutines (<= 0
+// uses GOMAXPROCS; 1 runs them serially in order). The first error
+// wins: once a call fails the remaining indexes are skipped, and that
+// error is returned.
+func fanOut(workers, n int, run func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := run(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		firstErr error
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n && !failed.Load(); i = int(next.Add(1)) - 1 {
+				if err := run(i); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // recordScan folds one call's accounting into the store metrics.
@@ -497,7 +513,6 @@ func (s *Store) recordScan(st ScanStats) {
 	m.scanBlocks.Add(int64(st.Blocks))
 	m.scanScanned.Add(int64(st.Scanned))
 	m.scanRows.Add(st.Rows)
-	m.scanFallback.Add(int64(st.FallbackMonths))
 	m.colsSkipped.Add(st.ColumnsSkipped)
 	for reason, n := range st.Pruned {
 		if c := m.pruned[reason]; c != nil {
@@ -506,64 +521,66 @@ func (s *Store) recordScan(st ScanStats) {
 	}
 }
 
-// runScanJob feeds one job's matching rows into pt, returning how
+// runScanJob feeds one block's matching rows into pt, returning how
 // many matched.
 func (s *Store) runScanJob(j scanJob, cq *compiledQuery, pt Partial) (int64, error) {
-	if j.bm != nil && blockVer(*j.bm) != FormatV1 {
-		if ver := blockVer(*j.bm); ver > s.maxFormat {
-			return 0, &FormatError{Path: j.path, Version: ver, Max: s.maxFormat}
-		}
-		f, err := os.Open(j.path)
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		defer f.Close()
-		payload, err := readBlockPayloadAt(f, j.path, *j.bm)
-		if err != nil {
-			return 0, err
-		}
-		defer bufpool.PutBlockBuf(payload)
-		n, err := scanColPushdown(payload, cq, j.month, pt)
-		if err != nil {
-			return n, fmt.Errorf("store: %s: block @%d: %w", j.path, j.bm.Offset, err)
-		}
-		return n, nil
+	ver := blockVer(j.bm)
+	if ver > s.maxFormat {
+		return 0, &FormatError{Path: j.path, Version: ver, Max: s.maxFormat}
 	}
-	// v1 block or unindexed month: full row decode + row-level filter.
-	rf := rowFeeder{cq: cq, pt: pt}
-	rf.rv.Month = j.month
-	var err error
-	if j.bm != nil {
-		err = scanBlock(j.path, *j.bm, s.maxFormat, rf.row)
-	} else {
-		err = s.scanPartition(j.path, rf.row, nil)
-	}
+	f, err := os.Open(j.path)
 	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	if ver == FormatV1 {
+		// Full row decode + row-level filter. A block holds many
+		// samples, so under a SHA predicate the leading "s" key (always
+		// first in canonical encoder output) is peeked and other
+		// samples' rows are skipped undecoded.
+		rf := rowFeeder{cq: cq, pt: pt}
+		rf.rv.Month = j.month
+		var row scanRow
+		err := scanBlockLinesAt(f, j.path, j.bm, func(line []byte) error {
+			if cq.shaSet != nil {
+				if got, ok := rowSHA(line); ok && !cq.shaSet[string(got)] {
+					return nil
+				}
+			}
+			if err := decodeScanRow(line, &row); err != nil {
+				return err
+			}
+			return rf.row(&row)
+		})
 		return rf.rows, err
 	}
-	return rf.rows, rf.err
+	payload, err := readBlockPayloadAt(f, j.path, j.bm)
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.PutBlockBuf(payload)
+	n, err := scanColPushdown(payload, cq, j.month, pt)
+	if err != nil {
+		return n, fmt.Errorf("store: %s: block @%d: %w", j.path, j.bm.Offset, err)
+	}
+	return n, nil
 }
 
-// rowFeeder adapts the decoded-row callbacks to the kernel: filter,
-// project into a reused RowView, feed.
+// rowFeeder adapts decoded v1 rows to the kernel: filter, project into
+// a reused RowView, feed.
 type rowFeeder struct {
 	cq   *compiledQuery
 	pt   Partial
 	rv   RowView
 	res  []ResView
 	rows int64
-	err  error
 }
 
-func (rf *rowFeeder) row(row scanRow) {
-	if rf.err != nil {
-		return
+func (rf *rowFeeder) row(row *scanRow) error {
+	if !rf.cq.matchScanRow(row) {
+		return nil
 	}
-	if !rf.cq.matchScanRow(&row) {
-		return
-	}
-	cq := rf.cq
-	proj := cq.q.Cols
+	proj := rf.cq.q.Cols
 	if proj&ColSHA != 0 {
 		rf.rv.SHA = row.SHA
 	}
@@ -581,6 +598,9 @@ func (rf *rowFeeder) row(row scanRow) {
 	}
 	if proj&ColResults != 0 {
 		rf.res = rf.res[:0]
+		if cap(rf.res) < len(row.Res) {
+			rf.res = make([]ResView, 0, len(row.Res))
+		}
 		for i := range row.Res {
 			rr := &row.Res[i]
 			rf.res = append(rf.res, ResView{Eng: rr.E, Lab: rr.L, Sig: rr.S, Ver: rr.V})
@@ -588,34 +608,69 @@ func (rf *rowFeeder) row(row scanRow) {
 		rf.rv.Res = rf.res
 	}
 	rf.rows++
-	rf.err = rf.pt.Row(&rf.rv)
+	return rf.pt.Row(&rf.rv)
 }
 
 // scanScratch holds the per-block decode state a pushdown scan reuses
-// across blocks (pooled per worker invocation): dictionary match
-// bitmaps, projected dictionary values, and the ResView buffer.
+// across blocks (pooled per worker invocation): the four dictionaries
+// and the ResView buffer.
 type scanScratch struct {
-	shaOK, ftOK, engOK, labOK         []bool
-	shaVals, ftVals, engVals, labVals []string
-	res                               []ResView
+	sha, ft, eng, lab dictCol
+	res               []ResView
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func boolsFor(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
+// dictCol is one block dictionary as a pushdown scan resolves it. n is
+// its entry count; ok[i] records whether entry i is in the query's
+// predicate set; vals[i] is entry i's value for a projected column.
+// Under lazy projection vals[i] is decoded on first reference from its
+// offset in buf (offs[i], -1 once resolved): a Get touching 2 of a
+// block's 200 labels pays string work for 2, not 200.
+type dictCol struct {
+	n      uint64
+	ok     []bool
+	vals   []string
+	lazy   bool
+	offs   []int
+	buf    []byte
+	intern bool
 }
 
-func stringsFor(buf []string, n int) []string {
+// at returns entry i's value; i must be below n.
+func (d *dictCol) at(i uint64) string {
+	if d.lazy && d.offs[i] >= 0 {
+		d.resolve(i)
+	}
+	return d.vals[i]
+}
+
+// resolve decodes a lazily projected entry. walk bounds-checked every
+// entry before the row loop could reference one, so the re-read cannot
+// fail.
+func (d *dictCol) resolve(i uint64) {
+	c := colCursor{buf: d.buf, off: d.offs[i]}
+	l, _ := c.uvarint()
+	b, _ := c.bytes(int(l))
+	d.vals[i] = d.value(b)
+	d.offs[i] = -1
+}
+
+// value materializes one entry: the engine/label/file-type vocabulary
+// is interned, sample hashes are plain copies (an unbounded vocabulary
+// that must not crowd the intern table).
+func (d *dictCol) value(b []byte) string {
+	if d.intern {
+		return report.InternBytes(b)
+	}
+	return string(b)
+}
+
+// resize returns buf resized to n zeroed elements, reusing its
+// capacity.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]string, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
 	clear(buf)
@@ -627,114 +682,94 @@ func stringsFor(buf []string, n int) []string {
 // bytes — no allocation), values materialize only for projected
 // columns, and the row loop touches only the needed segments. Returns
 // the number of matching rows fed to pt.
+//
+// Projection is eager for queries without a SHA set — a full scan
+// references most of every projected dictionary, so decoding each
+// entry once up front is cheapest — and lazy for queries with one,
+// which feed a few rows per block and reference a sliver of it.
 func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial) (int64, error) {
-	if sniffVersion(payload) != FormatV2 {
-		return 0, errColCorrupt
-	}
-	c := colCursor{buf: payload, off: len(colMagic) + 1}
-	rowsU, err := c.uvarint()
+	c, rows, _, err := readColHeader(payload)
 	if err != nil {
-		return 0, err
-	}
-	rows := int(rowsU)
-	if _, err := c.uvarint(); err != nil { // rawBytes: unused here
 		return 0, err
 	}
 
 	ws := scanScratchPool.Get().(*scanScratch)
 	defer scanScratchPool.Put(ws)
 	proj := cq.q.Cols
+	lazy := cq.shaSet != nil
 
-	// walk resolves one dictionary: when filtered, ok[i] records
-	// whether entry i is in the predicate set (map lookup on the raw
-	// bytes — the compiler elides the string conversion); when
-	// projected, vals[i] materializes the entry. anyHit reports
-	// whether any entry passed the filter — a miss means the whole
-	// block cannot match (the fingerprint was a false positive) and
-	// the caller can stop before decoding any segment.
-	walk := func(set map[string]bool, ok *[]bool, okBuf []bool, vals *[]string, valBuf []string, intern bool) (size uint64, anyHit bool, _ error) {
-		filtered, projected := set != nil, vals != nil
-		if !filtered && !projected {
-			n, err := dictSize(&c)
-			return n, true, err
-		}
+	// walk resolves one dictionary into d, validating every entry's
+	// bounds. anyHit reports whether any entry passed the filter — a
+	// miss means the whole block cannot match (the fingerprint was a
+	// false positive) and the caller can stop before decoding any
+	// segment.
+	walk := func(d *dictCol, set map[string]bool, projected, intern bool) (anyHit bool, _ error) {
+		d.lazy, d.buf, d.intern = lazy && projected, payload, intern
+		filtered := set != nil
 		n, err := c.uvarint()
 		if err != nil {
-			return 0, false, err
+			return false, err
 		}
 		if n > uint64(len(c.buf)-c.off) {
-			return 0, false, errColCorrupt
+			return false, errColCorrupt
 		}
+		d.n = n
 		if filtered {
-			*ok = boolsFor(okBuf, int(n))
+			d.ok = resize(d.ok, int(n))
 		}
 		if projected {
-			*vals = stringsFor(valBuf, int(n))
+			d.vals = resize(d.vals, int(n))
+		}
+		if d.lazy {
+			d.offs = resize(d.offs, int(n))
 		}
 		anyHit = !filtered
+		// A one-member set (Get's) compares bytes instead of hashing
+		// every entry.
+		var only string
+		if len(set) == 1 {
+			for only = range set {
+			}
+		}
 		for i := uint64(0); i < n; i++ {
+			start := c.off
 			l, err := c.uvarint()
 			if err != nil {
-				return 0, false, err
+				return false, err
 			}
 			b, err := c.bytes(int(l))
 			if err != nil {
-				return 0, false, err
+				return false, err
 			}
-			if filtered && set[string(b)] {
-				(*ok)[i] = true
+			if filtered && (len(set) == 1 && string(b) == only || len(set) > 1 && set[string(b)]) {
+				d.ok[i] = true
 				anyHit = true
 			}
-			if projected {
-				if intern {
-					(*vals)[i] = report.InternBytes(b)
-				} else {
-					(*vals)[i] = string(b)
-				}
+			if d.lazy {
+				d.offs[i] = start
+			} else if projected {
+				d.vals[i] = d.value(b)
 			}
 		}
-		return n, anyHit, nil
+		return anyHit, nil
 	}
 
-	var (
-		shaN, ftN, engN, labN uint64
-		hit                   bool
-	)
-	var shaVals, ftVals, engVals, labVals *[]string
-	if proj&ColSHA != 0 {
-		shaVals = &ws.shaVals
-	}
-	if proj&ColFT != 0 {
-		ftVals = &ws.ftVals
-	}
-	if proj&ColResults != 0 {
-		engVals, labVals = &ws.engVals, &ws.labVals
-	}
-	if shaN, hit, err = walk(cq.shaSet, &ws.shaOK, ws.shaOK, shaVals, ws.shaVals, false); err != nil || !hit {
+	if hit, err := walk(&ws.sha, cq.shaSet, proj&ColSHA != 0, false); err != nil || !hit {
 		return 0, err
 	}
-	if ftN, hit, err = walk(cq.ftSet, &ws.ftOK, ws.ftOK, ftVals, ws.ftVals, true); err != nil || !hit {
+	if hit, err := walk(&ws.ft, cq.ftSet, proj&ColFT != 0, true); err != nil || !hit {
 		return 0, err
 	}
-	if engN, hit, err = walk(cq.engSet, &ws.engOK, ws.engOK, engVals, ws.engVals, true); err != nil || !hit {
+	if hit, err := walk(&ws.eng, cq.engSet, proj&ColResults != 0, true); err != nil || !hit {
 		return 0, err
 	}
-	if labN, hit, err = walk(cq.labSet, &ws.labOK, ws.labOK, labVals, ws.labVals, true); err != nil || !hit {
+	if hit, err := walk(&ws.lab, cq.labSet, proj&ColResults != 0, true); err != nil || !hit {
 		return 0, err
 	}
 
-	var segs [numColSegs][]byte
-	for i := range segs {
-		l, err := c.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if segs[i], err = c.bytes(int(l)); err != nil {
-			return 0, err
-		}
-	}
-	if c.off != len(payload) {
-		return 0, errColCorrupt
+	segs, err := c.segments()
+	if err != nil {
+		return 0, err
 	}
 
 	var (
@@ -765,10 +800,10 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 			if shaIdx, err = shaC.uvarint(); err != nil {
 				return fed, err
 			}
-			if shaIdx >= shaN {
+			if shaIdx >= ws.sha.n {
 				return fed, errColCorrupt
 			}
-			if cq.shaSet != nil && !ws.shaOK[shaIdx] {
+			if cq.shaSet != nil && !ws.sha.ok[shaIdx] {
 				match = false
 			}
 		}
@@ -785,25 +820,39 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 				match = false
 			}
 		}
+		// Once a row fails a predicate, its remaining scalar columns are
+		// skipped varint-wise rather than decoded.
 		if cq.needFT {
-			if ftIdx, err = ftC.uvarint(); err != nil {
+			if !match {
+				err = ftC.skipVarints(1)
+			} else if ftIdx, err = ftC.uvarint(); err == nil {
+				if ftIdx >= ws.ft.n {
+					return fed, errColCorrupt
+				}
+				match = cq.ftSet == nil || ws.ft.ok[ftIdx]
+			}
+			if err != nil {
 				return fed, err
-			}
-			if ftIdx >= ftN {
-				return fed, errColCorrupt
-			}
-			if cq.ftSet != nil && !ws.ftOK[ftIdx] {
-				match = false
 			}
 		}
 		var rank, tot int64
 		if cq.needRank {
-			if rank, err = rankC.varint(); err != nil {
+			if !match {
+				err = rankC.skipVarints(1)
+			} else {
+				rank, err = rankC.varint()
+			}
+			if err != nil {
 				return fed, err
 			}
 		}
 		if cq.needTot {
-			if tot, err = totC.varint(); err != nil {
+			if !match {
+				err = totC.skipVarints(1)
+			} else {
+				tot, err = totC.varint()
+			}
+			if err != nil {
 				return fed, err
 			}
 		}
@@ -841,7 +890,7 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 					if engIdx, err = resC.uvarint(); err != nil {
 						return fed, err
 					}
-					if engIdx >= engN {
+					if engIdx >= ws.eng.n {
 						return fed, errColCorrupt
 					}
 					if sig, err = resC.varint(); err != nil {
@@ -850,7 +899,7 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 					if labIdx, err = resC.uvarint(); err != nil {
 						return fed, err
 					}
-					if labIdx > labN {
+					if labIdx > ws.lab.n {
 						return fed, errColCorrupt
 					}
 				}
@@ -860,19 +909,19 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 						return fed, err
 					}
 				}
-				if !engHit && ws.engOK[engIdx] {
+				if !engHit && ws.eng.ok[engIdx] {
 					engHit = true
 				}
-				if !labHit && labIdx > 0 && ws.labOK[labIdx-1] {
+				if !labHit && labIdx > 0 && ws.lab.ok[labIdx-1] {
 					labHit = true
 				}
 				if !malHit && v == int8(report.Malicious) {
 					malHit = true
 				}
 				if proj&ColResults != 0 {
-					e := ResView{Eng: ws.engVals[engIdx], Sig: int(sig), Ver: v}
+					e := ResView{Eng: ws.eng.at(engIdx), Sig: int(sig), Ver: v}
 					if labIdx > 0 {
-						e.Lab = ws.labVals[labIdx-1]
+						e.Lab = ws.lab.at(labIdx - 1)
 					}
 					res = append(res, e)
 				}
@@ -888,13 +937,13 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 			continue
 		}
 		if proj&ColSHA != 0 {
-			rv.SHA = ws.shaVals[shaIdx]
+			rv.SHA = ws.sha.at(shaIdx)
 		}
 		if proj&ColTime != 0 {
 			rv.At = at
 		}
 		if proj&ColFT != 0 {
-			rv.FT = ws.ftVals[ftIdx]
+			rv.FT = ws.ft.at(ftIdx)
 		}
 		if proj&ColRank != 0 {
 			rv.Rank = int(rank)
@@ -908,26 +957,4 @@ func scanColPushdown(payload []byte, cq *compiledQuery, month string, pt Partial
 		}
 	}
 	return fed, nil
-}
-
-// dictSize skips one dictionary, returning its entry count (for the
-// row loop's index bounds checks).
-func dictSize(c *colCursor) (uint64, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(c.buf)-c.off) {
-		return 0, errColCorrupt
-	}
-	for i := uint64(0); i < n; i++ {
-		l, err := c.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := c.bytes(int(l)); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
 }

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -107,19 +110,76 @@ func (a *rowsAgg) Merge(p Partial) error {
 	return nil
 }
 
-// naiveScanLines is the reference implementation: IterAll every row,
-// apply the query predicates on the materialized report, render the
-// projected columns the same way rowsPartial does.
+// forEachStoredRow is the differential tests' reference reader: it
+// walks every partition file member by member — independent of the
+// block index and the scan engine — and decodes each member in full,
+// v1 through the row codec and v2 through forEachRow.
+func forEachStoredRow(t testing.TB, s *Store, fn func(month string, row *scanRow)) {
+	t.Helper()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, month := range s.Months() {
+		b, err := os.ReadFile(s.partPath(month))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) == 0 {
+			continue
+		}
+		br := bytes.NewReader(b)
+		zr, err := gzip.NewReader(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			zr.Multistream(false)
+			payload, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sniffVersion(payload) == FormatV1 {
+				for _, line := range bytes.Split(payload, []byte{'\n'}) {
+					if len(line) == 0 {
+						continue
+					}
+					var row scanRow
+					if err := decodeScanRow(line, &row); err != nil {
+						t.Fatal(err)
+					}
+					fn(month, &row)
+				}
+			} else {
+				cb, err := parseColumnarBlock(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cb.forEachRow(func(row *scanRow) error {
+					fn(month, row)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := zr.Reset(br); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// naiveScanLines is the reference implementation: decode every stored
+// row (forEachStoredRow), apply the query predicates on the full row,
+// render the projected columns the same way rowsPartial does.
 func naiveScanLines(t testing.TB, s *Store, q Query) []string {
 	t.Helper()
 	cq := compileQuery(q)
-	var mu chan struct{} // IterAll(1, ...) is sequential; no lock needed
-	_ = mu
 	var lines []string
-	err := s.IterAll(1, func(month string, r *report.ScanReport) error {
-		row := rowFromScan(r)
-		if !cq.matchScanRow(&row) {
-			return nil
+	forEachStoredRow(t, s, func(month string, row *scanRow) {
+		if !cq.matchScanRow(row) {
+			return
 		}
 		var b strings.Builder
 		var sha, ft string
@@ -147,11 +207,7 @@ func naiveScanLines(t testing.TB, s *Store, q Query) []string {
 			}
 		}
 		lines = append(lines, b.String())
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("naive scan: %v", err)
-	}
 	sort.Strings(lines)
 	return lines
 }
@@ -370,8 +426,8 @@ func TestLegacySidecarFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Indexed() {
-		t.Fatal("legacy-sidecar fixture opened unindexed")
+	if !allSidecars(s) {
+		t.Fatal("legacy-sidecar fixture opened without its sidecars")
 	}
 	for month, ver := range s.SidecarVersions() {
 		if ver != sidecarVerLegacy {
@@ -456,12 +512,7 @@ func TestScanStatsByTypeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{}
-	if err := s.IterAll(1, func(_ string, r *report.ScanReport) error {
-		want[r.FileType]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	forEachStoredRow(t, s, func(_ string, row *scanRow) { want[row.FT]++ })
 	for ft, n := range want {
 		if got[ft].Reports != n {
 			t.Errorf("StatsByType[%q].Reports = %d, naive count %d", ft, got[ft].Reports, n)
@@ -529,29 +580,39 @@ func TestScanKernelAllocBudget(t *testing.T) {
 }
 
 // FuzzScanPushdownDifferential drives random queries over random
-// stores in both block formats and demands Scan agree with the naive
-// IterAll filter row for row — the end-to-end contract of the whole
-// pushdown engine (pruning, projection, skipping, fallback).
+// stores in both block formats, with and without sidecars, and
+// demands Scan agree with the naive filter over independently decoded
+// rows, row for row — the end-to-end contract of the whole pushdown
+// engine (pruning, projection, skipping, in-memory indexing).
 func FuzzScanPushdownDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(2))
 	f.Add(int64(2), uint8(1), int64(20), int64(55), uint8(1), uint8(2), uint8(1), true, uint8(3), uint8(1))
 	f.Add(int64(3), uint8(2), int64(-5), int64(200), uint8(9), uint8(9), uint8(9), false, uint8(9), uint8(4))
+	f.Add(int64(4), uint8(3), int64(10), int64(0), uint8(2), uint8(0), uint8(2), false, uint8(5), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, format uint8, sinceDays, untilDays int64,
 		ftSel, engSel, labSel uint8, malOnly bool, shaSel, workers uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		envs := genScanEnvelopes(rng, 60, 12)
 		var opts []Option
-		switch format % 3 {
-		case 0:
+		switch format % 4 {
+		case 0, 3:
 			opts = []Option{WithBlockSize(1 << 9)}
 		case 1:
 			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 9)}
-		case 2: // mixed: v1 store migrated month-by-month would be all-v2;
-			// instead mix by writing v1 with a giant block size so the
-			// fallback per-month path runs alongside indexed months.
+		case 2: // one v1 block per flush, however many rows it holds
 			opts = []Option{WithFormat(FormatV1), WithBlockSize(1 << 30)}
 		}
 		s := buildScanStore(t, envs, opts...)
+		if format%4 == 3 { // sidecar-less: every month indexed at Open
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			removeSidecars(t, s.dir)
+			var err error
+			if s, err = Open(s.dir); err != nil {
+				t.Fatal(err)
+			}
+		}
 		defer s.Close()
 
 		q := Query{Cols: ColAll, Workers: int(workers % 5)}

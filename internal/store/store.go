@@ -22,8 +22,10 @@
 //
 // Partition bytes remain a valid (multi-member) gzip stream, readable
 // by zcat and by pre-index builds of this package; the sidecar is
-// pure acceleration. Stores without sidecars open and read via the
-// full streaming scan; Reindex upgrades them in place.
+// pure acceleration. Every month is read through its block index: Open
+// builds the index in memory for a month whose sidecar is missing or
+// stale (writing nothing), the month's next Flush persists it, and
+// Reindex rebuilds sidecars in place.
 //
 // Concurrency model: the sample index (metadata + month membership)
 // is hash-sharded with one mutex per shard, so concurrent Puts on
@@ -34,18 +36,17 @@
 // work) happens outside every lock. PutBatch amortizes the partition
 // lock over a whole feed slice.
 //
-// Read path: Get consults each month's block index and decodes only
-// the members holding its sample (concurrently across months),
-// falling back to the streaming scan for unindexed months; decoded
-// histories are served from an LRU cache with singleflight decode
-// deduplication. Every caller gets a private History and Reports
-// slice over shared, immutable *ScanReport elements (see Get).
-// IterAll fans blocks across a worker pool for full-store passes
-// (Verify, StatsByType).
+// Read path: one block reader, the pushdown scan engine (scan.go).
+// Get looks up its sample's blocks in each month's postings and
+// decodes only those (concurrently across months) as a SHA-predicate
+// scan; decoded histories are served from an LRU cache with
+// singleflight decode deduplication. Every caller gets a private
+// History and Reports slice over shared, immutable *ScanReport
+// elements (see Get). Whole-store passes — Verify, StatsByType,
+// IterAll — are Scans that fan blocks across a worker pool.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -93,8 +94,6 @@ type storeMetrics struct {
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 	dedup          *obs.Counter
-	indexedMonths  *obs.Counter
-	fallbackMonths *obs.Counter
 	blockDecodes   *obs.Counter
 
 	// Pushdown scan accounting (scan.go): every block a Scan considers
@@ -102,13 +101,12 @@ type storeMetrics struct {
 	// store_blocks_pruned_total summed over reasons +
 	// store_scan_blocks_scanned_total == store_scan_blocks_total —
 	// checked by the invariant suite.
-	scanCalls    *obs.Counter
-	scanBlocks   *obs.Counter
-	scanScanned  *obs.Counter
-	scanRows     *obs.Counter
-	scanFallback *obs.Counter
-	colsSkipped  *obs.Counter
-	pruned       map[string]*obs.Counter
+	scanCalls   *obs.Counter
+	scanBlocks  *obs.Counter
+	scanScanned *obs.Counter
+	scanRows    *obs.Counter
+	colsSkipped *obs.Counter
+	pruned      map[string]*obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -133,17 +131,14 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		cacheMisses:    reg.Counter("store_cache_misses_total"),
 		cacheEvictions: reg.Counter("store_cache_evictions_total"),
 		dedup:          reg.Counter("store_singleflight_dedup_total"),
-		indexedMonths:  reg.Counter("store_get_indexed_months_total"),
-		fallbackMonths: reg.Counter("store_get_fallback_months_total"),
 		blockDecodes:   reg.Counter("store_block_decodes_total"),
 
-		scanCalls:    reg.Counter("store_scan_calls_total"),
-		scanBlocks:   reg.Counter("store_scan_blocks_total"),
-		scanScanned:  reg.Counter("store_scan_blocks_scanned_total"),
-		scanRows:     reg.Counter("store_scan_rows_total"),
-		scanFallback: reg.Counter("store_scan_fallback_months_total"),
-		colsSkipped:  reg.Counter("store_columns_skipped_total"),
-		pruned:       pruned,
+		scanCalls:   reg.Counter("store_scan_calls_total"),
+		scanBlocks:  reg.Counter("store_scan_blocks_total"),
+		scanScanned: reg.Counter("store_scan_blocks_scanned_total"),
+		scanRows:    reg.Counter("store_scan_rows_total"),
+		colsSkipped: reg.Counter("store_columns_skipped_total"),
+		pruned:      pruned,
 	}
 }
 
@@ -231,15 +226,15 @@ func withMaxFormat(v int) Option {
 }
 
 // WithMetrics routes the store's instrumentation (puts, bytes raw and
-// compressed, cache hits/misses/evictions, singleflight dedups,
-// indexed-vs-fallback reads, block decodes) into reg instead of the
-// process-wide default registry.
+// compressed, cache hits/misses/evictions, singleflight dedups, block
+// decodes, scan accounting) into reg instead of the process-wide
+// default registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Store) { s.reg = reg }
 }
 
-// index returns the month's block index, or nil when the month is
-// served by the fallback streaming scan.
+// index returns the month's block index, or nil when the store holds
+// no partition for the month.
 func (s *Store) index(month string) *partIndex {
 	s.imu.Lock()
 	defer s.imu.Unlock()
@@ -249,12 +244,6 @@ func (s *Store) index(month string) *partIndex {
 func (s *Store) setIndex(month string, ix *partIndex) {
 	s.imu.Lock()
 	s.indexes[month] = ix
-	s.imu.Unlock()
-}
-
-func (s *Store) dropIndex(month string) {
-	s.imu.Lock()
-	delete(s.indexes, month)
 	s.imu.Unlock()
 }
 
@@ -372,9 +361,8 @@ type partWriter struct {
 	blockSize int
 	// format is the block format this writer's cuts produce.
 	format int
-	// idx is the month's block index, nil when the month predates the
-	// sidecar format (then new blocks go unindexed and the month keeps
-	// using the fallback scan until Reindex).
+	// idx is the month's block index, which covers every byte the
+	// partition held when the writer opened.
 	idx *partIndex
 	// m is the owning store's metrics (blocks cut, compressed bytes).
 	m *storeMetrics
@@ -561,19 +549,17 @@ func (w *partWriter) commitBlockLocked(pb *pendingBlock) error {
 	end := w.base + w.counter.n
 	w.m.blocksCut.Inc()
 	w.m.storedBytes.Add(end - start)
-	if w.idx != nil {
-		bm := blockMeta{
-			Offset: start,
-			Len:    end - start,
-			Rows:   pb.rows,
-			Raw:    pb.rawBytes,
-		}
-		if w.format != FormatV1 {
-			bm.Ver = w.format
-		}
-		bm.setZone(pb.zone)
-		w.idx.appendBlock(bm, pb.shas)
+	bm := blockMeta{
+		Offset: start,
+		Len:    end - start,
+		Rows:   pb.rows,
+		Raw:    pb.rawBytes,
 	}
+	if w.format != FormatV1 {
+		bm.Ver = w.format
+	}
+	bm.setZone(pb.zone)
+	w.idx.appendBlock(bm, pb.shas)
 	// appendBlock folds the posting counts into the index without
 	// retaining the map, so the block's sha map recycles here — the
 	// committed block no longer sits in the queue pendingSHALocked
@@ -675,9 +661,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 
 // load rebuilds the in-memory index from existing partition files.
 // Months with a valid sidecar load from it directly (no decompression
-// at all); the rest are streamed row by row as before — that is the
-// pre-sidecar fallback path, and it leaves the month unindexed.
-// load runs before the store is shared, so it takes no locks.
+// at all); the rest are indexed in memory by walking their gzip
+// members — the walk Reindex does, minus the sidecar write, so opening
+// a store never writes to it. load runs before the store is shared, so
+// it takes no locks.
 func (s *Store) load() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -708,19 +695,16 @@ func (s *Store) load() error {
 		if err != nil {
 			return err
 		}
-		if ok {
-			s.indexes[month] = ix
-			st.Reports, st.RawBytes = ix.totals()
-			for _, sha := range ix.sampleSHAs() {
-				addMonth(sha, month)
+		if !ok {
+			if ix, _, err = walkPartition(path, s.maxFormat); err != nil {
+				return err
 			}
-		} else if err := s.scanPartition(path, func(row scanRow) {
-			addMonth(row.SHA, month)
-		}, func(rows int, raw int64) {
-			st.Reports += rows
-			st.RawBytes += raw
-		}); err != nil {
-			return err
+			ix.dirty = false // nothing new to persist until the month grows
+		}
+		s.indexes[month] = ix
+		st.Reports, st.RawBytes = ix.totals()
+		for _, sha := range ix.sampleSHAs() {
+			addMonth(sha, month)
 		}
 		st.StoredBytes = size
 		s.stats[month] = st
@@ -1033,33 +1017,33 @@ func (s *Store) writer(month string) (*partWriter, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	base := fi.Size()
+	// Continue the month's block index, which must cover every byte
+	// already on disk: a partition that changed size under the open
+	// store would leave holes in the index (and its sidecar).
+	ix := s.index(month)
+	var covered int64
+	if ix != nil {
+		_, covered = ix.state()
+	}
+	if covered != base {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s partition is %d bytes, index covers %d (reopen or Reindex)", ErrIndexMismatch, month, base, covered)
+	}
+	if ix == nil {
+		ix = newPartIndex()
+		s.setIndex(month, ix)
+	}
 	counter := &countingWriter{w: f}
 	w := &partWriter{
 		f:           f,
 		counter:     counter,
 		base:        base,
+		idx:         ix,
 		blockSize:   s.blockSize,
 		format:      s.format,
 		pendingShas: bufpool.GetCountMap(),
 		m:           s.m,
 		sem:         s.compressSem,
-	}
-	// Attach the month's block index. A fresh partition starts one; an
-	// existing partition continues its index only if that index covers
-	// every byte already on disk — otherwise new blocks would produce a
-	// sidecar with holes, so the month stays on the fallback streaming
-	// scan until Reindex rebuilds it.
-	ix := s.index(month)
-	switch {
-	case ix != nil && ix.fileSize == base:
-		w.idx = ix
-	case ix == nil && base == 0:
-		w.idx = newPartIndex()
-		s.setIndex(month, w.idx)
-	default:
-		if ix != nil {
-			s.dropIndex(month)
-		}
 	}
 	s.writers[month] = w
 	return w, nil
@@ -1243,11 +1227,10 @@ func (s *Store) snapshotSamples() map[string]report.SampleMeta {
 	return out
 }
 
-// Get returns the sample's full history. Indexed months are read by
-// seeking straight to the few blocks holding the sample (months are
-// scanned concurrently); unindexed months fall back to the full
-// streaming scan. Rows still sitting in a write buffer are cut to
-// disk first, so a Get after Put always sees the written rows.
+// Get returns the sample's full history, read by seeking straight to
+// the few blocks whose postings hold the sample (months are read
+// concurrently). Rows still sitting in a write buffer are cut to disk
+// first, so a Get after Put always sees the written rows.
 //
 // Results are served through the history cache when enabled. The
 // returned History and its Reports slice are the caller's (reorder,
@@ -1292,31 +1275,17 @@ func (s *Store) getUncached(sha string) (*report.History, error) {
 		}
 	}
 
-	// Scan the sample's months concurrently, assembling results in
+	// Read the sample's months concurrently, assembling results in
 	// month order so the pre-sort report order is deterministic.
+	cq := compileQuery(Query{SHAs: []string{sha}, Cols: ColAll &^ ColSHA})
 	perMonth := make([][]*report.ScanReport, len(months))
-	if len(months) == 1 {
-		rows, err := s.readMonthRows(months[0], sha)
-		if err != nil {
-			return nil, err
-		}
-		perMonth[0] = rows
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(months))
-		for i, month := range months {
-			wg.Add(1)
-			go func(i int, month string) {
-				defer wg.Done()
-				perMonth[i], errs[i] = s.readMonthRows(month, sha)
-			}(i, month)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	err := fanOut(len(months), len(months), func(i int) error {
+		var err error
+		perMonth[i], err = s.readMonthRows(months[i], sha, cq)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	h := &report.History{Meta: meta}
@@ -1333,71 +1302,34 @@ func (s *Store) getUncached(sha string) (*report.History, error) {
 	return h, nil
 }
 
-// readMonthRows returns the sample's rows from one month, via the
-// block index when present, else the full streaming scan.
-func (s *Store) readMonthRows(month, sha string) ([]*report.ScanReport, error) {
+// readMonthRows decodes the sample's rows from the month's blocks that
+// its postings name, through the scan engine's job runner with Get's
+// compiled SHA-predicate query cq.
+func (s *Store) readMonthRows(month, sha string, cq *compiledQuery) ([]*report.ScanReport, error) {
+	blocks := s.index(month).blocksFor(sha)
+	s.m.blockDecodes.Add(int64(len(blocks)))
+	hp := historyPartial{sha: sha}
 	path := s.partPath(month)
-	var out []*report.ScanReport
-	if ix := s.index(month); ix != nil {
-		s.m.indexedMonths.Inc()
-		blocks := ix.blocksFor(sha)
-		if len(blocks) == 0 {
-			return nil, nil
+	for _, bm := range blocks {
+		if _, err := s.runScanJob(scanJob{month: month, path: path, bm: bm}, cq, &hp); err != nil {
+			return nil, err
 		}
-		s.m.blockDecodes.Add(int64(len(blocks)))
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		defer f.Close()
-		var row scanRow
-		for _, bm := range blocks {
-			switch ver := blockVer(bm); {
-			case ver == FormatV1:
-				if err := scanBlockLinesAt(f, path, bm, func(line []byte) error {
-					// A block holds many samples; skip full decodes for
-					// other samples' rows by peeking at the leading "s" key
-					// (always first in canonical encoder output).
-					if got, ok := rowSHA(line); ok && string(got) != sha {
-						return nil
-					}
-					if err := decodeScanRow(line, &row); err != nil {
-						return err
-					}
-					if row.SHA == sha {
-						out = append(out, rowToReport(row))
-					}
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-			case ver <= s.maxFormat:
-				payload, err := readBlockPayloadAt(f, path, bm)
-				if err != nil {
-					return nil, err
-				}
-				rows, err := columnarRowsFor(payload, sha)
-				bufpool.PutBlockBuf(payload)
-				if err != nil {
-					return nil, fmt.Errorf("store: %s: block @%d: %w", path, bm.Offset, err)
-				}
-				out = append(out, rows...)
-			default:
-				return nil, &FormatError{Path: path, Version: ver, Max: s.maxFormat}
-			}
-		}
-		return out, nil
 	}
-	s.m.fallbackMonths.Inc()
-	err := s.scanPartition(path, func(row scanRow) {
-		if row.SHA == sha {
-			out = append(out, rowToReport(row))
-		}
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return hp.out, nil
+}
+
+// historyPartial is Get's kernel: every row its SHA-predicate query
+// feeds becomes one fresh report of the sample's history.
+type historyPartial struct {
+	sha string
+	out []*report.ScanReport
+}
+
+func (p *historyPartial) Row(rv *RowView) error {
+	r := rv.report()
+	r.SHA256 = p.sha // the query leaves the sample's own hash unprojected
+	p.out = append(p.out, r)
+	return nil
 }
 
 func rowToReport(row scanRow) *report.ScanReport {
@@ -1420,126 +1352,16 @@ func rowToReport(row scanRow) *report.ScanReport {
 	return r
 }
 
-// scanPartition streams rows of a partition file member by member,
-// dispatching each gzip member on its sniffed payload format. rowFn
-// (optional) receives every decoded row; the row is reused across
-// calls — every decoded string is owned (cloned or interned) and
-// rowFn's callers copy what they keep via rowToReport, so only the
-// Res backing array is shared, and it is overwritten, never appended
-// to, between calls. acctFn (optional) receives each member's row
-// count and raw (v1-line) byte total for load-time accounting.
-func (s *Store) scanPartition(path string, rowFn func(row scanRow), acctFn func(rows int, raw int64)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	br := bufpool.GetBufioReader(f)
-	defer bufpool.PutBufioReader(br)
-	gz, err := bufpool.GetGzipReader(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) { // empty partition file
-			return nil
-		}
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	defer bufpool.PutGzipReader(gz)
-	defer gz.Close()
-	sbuf := bufpool.GetScanBuf()
-	defer bufpool.PutScanBuf(sbuf)
-	// mr buffers each member's decompressed bytes for the format sniff.
-	mr := bufio.NewReaderSize(nil, 32<<10)
-	var row scanRow
-	for {
-		gz.Multistream(false)
-		mr.Reset(gz)
-		head, _ := mr.Peek(len(colMagic) + 1)
-		switch ver := sniffVersion(head); {
-		case ver == FormatV1:
-			sc := bufio.NewScanner(mr)
-			sc.Buffer(sbuf, 16<<20)
-			rows, raw := 0, int64(0)
-			for sc.Scan() {
-				if err := decodeScanRow(sc.Bytes(), &row); err != nil {
-					return fmt.Errorf("store: %s: %w", path, err)
-				}
-				rows++
-				raw += int64(len(sc.Bytes()))
-				if rowFn != nil {
-					rowFn(row)
-				}
-			}
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			if acctFn != nil {
-				acctFn(rows, raw)
-			}
-		case ver <= s.maxFormat:
-			payload, err := io.ReadAll(mr)
-			if err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			want := wantAllDicts
-			if rowFn == nil {
-				want = 0 // accounting only — the header alone suffices
-			}
-			cb, err := parseColumnarBlock(payload, want)
-			if err != nil {
-				return fmt.Errorf("store: %s: %w", path, err)
-			}
-			if rowFn != nil {
-				if err := cb.forEachRow(func(r *scanRow) error {
-					rowFn(*r)
-					return nil
-				}); err != nil {
-					return fmt.Errorf("store: %s: %w", path, err)
-				}
-			}
-			if acctFn != nil {
-				acctFn(cb.rows, cb.raw)
-			}
-		default:
-			return &FormatError{Path: path, Version: ver, Max: s.maxFormat}
-		}
-		if err := gz.Reset(br); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-	}
-}
-
 // IterReports streams every report in a month partition in storage
-// order.
+// order. It flushes first.
 func (s *Store) IterReports(month string, fn func(*report.ScanReport) error) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	path := s.partPath(month)
-	var inner error
-	err := s.scanPartition(path, func(row scanRow) {
-		if inner != nil {
-			return
-		}
-		inner = fn(rowToReport(row))
-	}, nil)
-	if err != nil {
-		return err
-	}
-	return inner
-}
-
-// iterJob is one unit of an IterAll pass: a single block of an
-// indexed month, or a whole unindexed month streamed end to end.
-type iterJob struct {
-	month string
-	path  string
-	block *blockMeta
+	_, err := s.scan([]string{month}, Query{Cols: ColAll, Workers: 1}, reportAgg(func(_ string, r *report.ScanReport) error {
+		return fn(r)
+	}))
+	return err
 }
 
 // IterAll streams every report in the store through fn, fanning
@@ -1550,112 +1372,22 @@ type iterJob struct {
 // fn must be safe for concurrent use. The first error stops the
 // pass.
 func (s *Store) IterAll(workers int, fn func(month string, r *report.ScanReport) error) error {
-	return s.forEachJob(workers, func(j iterJob) error {
-		return s.runIterJob(j, fn)
-	})
+	_, err := s.Scan(Query{Cols: ColAll, Workers: workers}, reportAgg(fn))
+	return err
 }
 
-// forEachJob flushes, slices the store into per-block (or per-month,
-// when unindexed) jobs, and fans them across a worker pool. run is
-// called from multiple goroutines when workers > 1; the first error
-// stops the pass.
-func (s *Store) forEachJob(workers int, run func(iterJob) error) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var jobs []iterJob
-	for _, month := range s.Months() {
-		path := s.partPath(month)
-		if ix := s.index(month); ix != nil {
-			for _, bm := range ix.snapshotBlocks() {
-				if bm.Rows == 0 {
-					continue
-				}
-				bm := bm
-				jobs = append(jobs, iterJob{month: month, path: path, block: &bm})
-			}
-		} else {
-			jobs = append(jobs, iterJob{month: month, path: path})
-		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	jobc := make(chan iterJob)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobc {
-				if failed() {
-					continue
-				}
-				if err := run(j); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobc <- j
-	}
-	close(jobc)
-	wg.Wait()
-	return firstErr
-}
+// reportAgg is the kernel behind IterAll and IterReports: every row
+// becomes a fresh report handed to the function. It keeps no state, so
+// it serves as its own partial.
+type reportAgg func(month string, r *report.ScanReport) error
 
-// runIterJob streams one job's rows through fn.
-func (s *Store) runIterJob(j iterJob, fn func(month string, r *report.ScanReport) error) error {
-	var inner error
-	handle := func(row scanRow) {
-		if inner != nil {
-			return
-		}
-		inner = fn(j.month, rowToReport(row))
-	}
-	var err error
-	if j.block != nil {
-		err = scanBlock(j.path, *j.block, s.maxFormat, handle)
-	} else {
-		err = s.scanPartition(j.path, handle, nil)
-	}
-	if err != nil {
-		return err
-	}
-	return inner
-}
+func (a reportAgg) NewPartial() Partial   { return a }
+func (a reportAgg) Merge(Partial) error   { return nil }
+func (a reportAgg) Row(rv *RowView) error { return a(rv.Month, rv.report()) }
 
 // Reindex rebuilds every partition's block index by re-walking its
-// gzip members, and persists fresh sidecars — upgrading pre-sidecar
-// stores (and healing stale sidecars) in place. Partitions written
+// gzip members, and persists fresh sidecars — writing the sidecars a
+// pre-sidecar store lacks, and healing stale ones, in place. Partitions written
 // before block compression existed get one block per historical
 // flush, which still lets Get skip every member without its sample.
 func (s *Store) Reindex() error {
@@ -1672,7 +1404,7 @@ func (s *Store) Reindex() error {
 
 // reindexMonth rebuilds and persists one month's sidecar.
 func (s *Store) reindexMonth(month string) error {
-	ix, err := indexPartitionFile(s.partPath(month), s.maxFormat)
+	ix, _, err := walkPartition(s.partPath(month), s.maxFormat)
 	if err != nil {
 		return err
 	}
@@ -1702,8 +1434,9 @@ func (s *Store) ReindexWithStats() (ReindexStats, error) {
 	if err := s.Flush(); err != nil {
 		return rs, err
 	}
+	versions := s.SidecarVersions()
 	for _, month := range s.Months() {
-		if ix := s.index(month); ix != nil && ix.fullyZoned() {
+		if versions[month] == sidecarVerZones {
 			rs.Skipped = append(rs.Skipped, month)
 			continue
 		}
@@ -1716,16 +1449,17 @@ func (s *Store) ReindexWithStats() (ReindexStats, error) {
 }
 
 // SidecarVersions reports each month's effective sidecar state:
-// 0 = no usable sidecar (missing or stale), 2 = loaded but pre-zone
+// 0 = no usable sidecar on disk (missing or stale; the month reads
+// through an index built in memory at Open), 2 = loaded but pre-zone
 // (legacy entries without zone maps), 3 = fully zone-mapped. The
 // `vtstore verify` report surfaces this so operators can see which
-// partitions still scan un-pruned.
+// partitions still scan un-pruned or lack a sidecar.
 func (s *Store) SidecarVersions() map[string]int {
 	out := make(map[string]int)
 	for _, month := range s.Months() {
 		ix := s.index(month)
 		switch {
-		case ix == nil:
+		case ix == nil || !ix.onDisk():
 			out[month] = 0
 		case ix.fullyZoned():
 			out[month] = sidecarVerZones
@@ -1739,21 +1473,6 @@ func (s *Store) SidecarVersions() map[string]int {
 // CachedHistories reports how many decoded histories the read cache
 // currently holds (0 when the cache is disabled).
 func (s *Store) CachedHistories() int { return s.cache.len() }
-
-// Indexed reports whether every partition has a block index, i.e.
-// Get is served by block seeks rather than full partition scans. A
-// store that predates the sidecar format reports false until Reindex.
-func (s *Store) Indexed() bool {
-	months := s.Months()
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	for _, m := range months {
-		if s.indexes[m] == nil {
-			return false
-		}
-	}
-	return true
-}
 
 // Months returns the partition keys present, sorted.
 func (s *Store) Months() []string {
@@ -1845,7 +1564,7 @@ func (s *Store) StatsByType() (map[string]TypeStats, error) {
 // projecting only the file-type column: v2 blocks decode one
 // dictionary and one segment — no row materialization, no result
 // decoding — and empty blocks are pruned without decompression; v1
-// blocks fall back to full row decodes as before.
+// blocks take full row decodes.
 func (s *Store) StatsByTypeWorkers(workers int) (map[string]TypeStats, error) {
 	out := map[string]TypeStats{}
 	for _, meta := range s.snapshotSamples() {
@@ -1914,23 +1633,7 @@ func (p *verifyPartial) Row(rv *RowView) error {
 	if MonthKey(fromUnix(rv.At)) != rv.Month {
 		return fmt.Errorf("store: row %s at %d filed under %s", rv.SHA, rv.At, rv.Month)
 	}
-	p.r = report.ScanReport{
-		SHA256:       rv.SHA,
-		FileType:     rv.FT,
-		AnalysisDate: fromUnix(rv.At),
-		AVRank:       rv.Rank,
-		EnginesTotal: rv.Tot,
-		Results:      p.r.Results[:0],
-	}
-	for i := range rv.Res {
-		r := &rv.Res[i]
-		p.r.Results = append(p.r.Results, report.EngineResult{
-			Engine:           r.Eng,
-			Verdict:          report.Verdict(r.Ver),
-			Label:            r.Lab,
-			SignatureVersion: r.Sig,
-		})
-	}
+	rv.fill(&p.r)
 	if err := p.r.Validate(); err != nil {
 		return fmt.Errorf("store: row %s invalid: %w", rv.SHA, err)
 	}
@@ -1939,10 +1642,10 @@ func (p *verifyPartial) Row(rv *RowView) error {
 
 // ErrIndexMismatch is returned by Verify when a sidecar block entry
 // disagrees with the partition payload it points at — wrong row
-// count, raw-byte total, format version, or posting list. The sidecar
-// is acceleration state, so a disagreement means replication parity
-// checks and indexed Gets can no longer trust it; Reindex rebuilds it
-// from the partition bytes.
+// count, raw-byte total, format version, or posting list — and by
+// writes to a partition whose size changed under the open store. The
+// index is then no longer a trustworthy map of the partition; Reindex
+// rebuilds it from the partition bytes.
 var ErrIndexMismatch = errors.New("store: block index disagrees with partition payload")
 
 // verifyBlockIndexes cross-checks every indexed month's in-memory
@@ -1953,9 +1656,6 @@ var ErrIndexMismatch = errors.New("store: block index disagrees with partition p
 // verify` vouch for a replica: a follower whose sidecars pass this
 // and whose partitions hash equal to the leader's is a true replica.
 func (s *Store) verifyBlockIndexes(workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	type blockJob struct {
 		month string
 		path  string
@@ -2045,48 +1745,5 @@ func (s *Store) verifyBlockIndexes(workers int) error {
 		}
 		return nil
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := check(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobc := make(chan blockJob)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobc {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue
-				}
-				if err := check(j); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobc <- j
-	}
-	close(jobc)
-	wg.Wait()
-	return firstErr
+	return fanOut(workers, len(jobs), func(i int) error { return check(jobs[i]) })
 }

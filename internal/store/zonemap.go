@@ -12,11 +12,11 @@
 // guaranteed-safe skip.
 //
 // The non-negotiable invariant is that a zone map is a PURE FUNCTION
-// of the block's payload rows. Five code paths compute zones — the v2
+// of the block's payload rows. Four code paths compute zones — the v2
 // write path (colBuilder), the v1 write path (partWriter's zoneAcc),
-// Reindex (indexPartitionFile), replication apply / repair
-// (analyzePayload), and migration (rewriteMonth) — and all of them
-// must produce bit-identical results, because leader and follower
+// payload analysis (analyzePayload: Open's in-memory indexing,
+// Reindex, repair, replication apply, Verify), and migration
+// (rewriteMonth) — and all of them must produce bit-identical results, because leader and follower
 // sidecars are compared byte-for-byte by the replication parity suite,
 // and Verify cross-checks every sidecar zone against a payload
 // recompute. All paths therefore share the accumulation and hashing
@@ -140,8 +140,7 @@ func (a *zoneAcc) scan(scan *report.ScanReport) {
 // fingerprints from the dictionaries (a dictionary holds exactly the
 // values the rows reference, in both encoders), timestamp bounds from
 // the delta-encoded time column, and the malicious-row count from the
-// nres and verdict columns. The block must have been parsed with at
-// least wantFT|wantEng|wantLab.
+// nres and verdict columns.
 func zoneOfColBlock(cb *colBlock) (blockZone, error) {
 	var z blockZone
 	for _, v := range cb.ft {

@@ -218,8 +218,10 @@ func TestBackfillParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rst.Indexed() {
-				t.Fatal("replica not indexed")
+			for month, ver := range rst.SidecarVersions() {
+				if ver != 3 {
+					t.Fatalf("replica %s: sidecar version %d, want 3", month, ver)
+				}
 			}
 			if _, err := rst.Verify(); err != nil {
 				t.Fatalf("replica verify: %v", err)
