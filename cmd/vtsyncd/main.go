@@ -159,7 +159,7 @@ func runLeader(ctx context.Context, opts *options, st *store.Store, stdout io.Wr
 		return err
 	}
 	fmt.Fprintf(stdout, "vtsyncd: leader serving %s on %s\n", opts.dir, ln.Addr())
-	srv := &http.Server{Handler: h}
+	srv := leaderServer(h)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	select {
@@ -170,6 +170,13 @@ func runLeader(ctx context.Context, opts *options, st *store.Store, stdout io.Wr
 	case err := <-done:
 		return err
 	}
+}
+
+// leaderServer is the leader's HTTP server. ReadHeaderTimeout bounds
+// how long a client may take to send its request headers, so stalled
+// connections cannot pin the leader's goroutines.
+func leaderServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // runFollower catches up once or on an interval. Every pass ends in a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,15 @@ func TestParseFlagsCursorDefault(t *testing.T) {
 	}
 	if opts.cursor != "/tmp/c" {
 		t.Fatalf("cursor = %q", opts.cursor)
+	}
+}
+
+// TestLeaderServerBoundsHeaderReads: the leader's HTTP server must not
+// let a client hold a connection open by trickling request headers.
+func TestLeaderServerBoundsHeaderReads(t *testing.T) {
+	srv := leaderServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout > time.Minute {
+		t.Fatalf("ReadHeaderTimeout = %v, want a bound of at most a minute", srv.ReadHeaderTimeout)
 	}
 }
 

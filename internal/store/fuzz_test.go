@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vtdynamics/internal/obs"
 	"vtdynamics/internal/report"
 )
 
@@ -234,6 +235,93 @@ func FuzzAnalyzePayloadBytes(f *testing.F) {
 		}
 		if sum.rows < 0 || sum.raw < 0 {
 			t.Fatalf("accepted %d rows, %d raw bytes", sum.rows, sum.raw)
+		}
+	})
+}
+
+// FuzzSamplesSnapshotBytes feeds arbitrary bytes to both decoders of
+// samples.jsonl.gz. Open's member-wise loader never fails, and loads
+// exactly the metas of the stream's clean prefix — on the bytes alone
+// and behind a real snapshot, whose members that prefix must cover.
+// ApplySamplesSnapshot rejects anything that does not decode in full,
+// leaving the sample index and the file untouched; what it accepts it
+// persists byte for byte and applies exactly as the multistream
+// decoder of earlier builds reads it.
+func FuzzSamplesSnapshotBytes(f *testing.F) {
+	dir := f.TempDir()
+	s, lens, _ := samplesCampaign(f, dir, WithMetrics(obs.NewRegistry()))
+	deltas := readSamplesFile(f, dir)
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	compacted := readSamplesFile(f, dir)
+	f.Add(compacted)
+	f.Add(deltas)
+	f.Add(deltas[:(lens[1]+lens[2])/2]) // last delta torn
+	f.Add(append(append([]byte(nil), compacted...), "\x1f\x8b\x08garbage"...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, append(append([]byte(nil), compacted...), data...)} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, samplesFile), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, WithMetrics(obs.NewRegistry()))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			log, _ := readSamplesLog(bytes.NewReader(file), nil)
+			want := map[string]metaRow{}
+			if log.members > 0 {
+				metas, prefix, err := decodeSamplesSnapshot(file[:log.clean])
+				if err != nil || prefix != log {
+					t.Fatalf("clean prefix of %d bytes: %v, log %+v, want %+v", log.clean, err, prefix, log)
+				}
+				for h, m := range metas {
+					want[h] = metaFrom(m)
+				}
+			}
+			if got := storeMetas(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Open loaded %d metas, clean prefix holds %d", len(got), len(want))
+			}
+			if len(file) > len(data) && log.clean < int64(len(compacted)) {
+				t.Fatalf("garbled tail cut into the snapshot: clean %d < %d", log.clean, len(compacted))
+			}
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, samplesFile), compacted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, WithMetrics(obs.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := storeMetas(s)
+		log, lerr := readSamplesLog(bytes.NewReader(data), nil)
+		err = s.ApplySamplesSnapshot(data)
+		if lerr != nil || log.members == 0 {
+			if err == nil {
+				t.Fatal("ApplySamplesSnapshot accepted bytes that do not decode in full")
+			}
+			if !reflect.DeepEqual(storeMetas(s), before) || !bytes.Equal(readSamplesFile(t, dir), compacted) {
+				t.Fatal("rejected snapshot changed the store")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ApplySamplesSnapshot rejected a decodable snapshot: %v", err)
+		}
+		want, err := multistreamMetas(data)
+		if err != nil {
+			t.Fatalf("multistream decoder rejects an accepted snapshot: %v", err)
+		}
+		if got := storeMetas(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("applied %d metas, multistream decode holds %d", len(got), len(want))
+		}
+		if !bytes.Equal(readSamplesFile(t, dir), data) || s.samplesLen != int64(len(data)) || s.samplesDelta != log.delta {
+			t.Fatalf("applied file or log position differs: len %d/%d, delta %d/%d", s.samplesLen, len(data), s.samplesDelta, log.delta)
 		}
 	})
 }

@@ -8,16 +8,18 @@
 //
 //   - Leader side: ReplState (per-month committed block positions),
 //     BlocksSince (block metadata after a cursor), ReadBlock (the
-//     committed compressed bytes of one block), and the state-file
-//     encoders WriteSamplesSnapshot / StatsJSON, which serialize the
-//     live in-memory state with exactly the bytes Close writes.
+//     committed compressed bytes of one block), and the state files:
+//     SamplesSnapshot (samples.go: the durable sample-metadata log
+//     plus a member for changes not yet synced) and StatsJSON (the
+//     live accounting, with exactly the bytes Close writes).
 //   - Follower side: ApplyBlocks (verify-then-append replicated
 //     blocks, maintaining the block index, sample membership, and
 //     accounting), ApplySamplesSnapshot / ApplyStatsSnapshot (state
-//     files, applied to memory and persisted atomically), and
-//     RepairDir (crash recovery: truncate torn partition tails and
-//     rebuild sidecars so a restarted follower resumes from its last
-//     durable block boundary).
+//     files, decoded in full, then persisted atomically and applied
+//     to memory), and RepairDir (crash recovery: truncate torn
+//     partition and samples.jsonl.gz tails and rebuild sidecars so a
+//     restarted follower resumes from its last durable block
+//     boundary).
 //
 // The verify-then-apply invariant: ApplyBlocks never trusts wire
 // metadata. Every block's payload is decompressed and re-analyzed
@@ -41,7 +43,6 @@ import (
 	"strings"
 
 	"vtdynamics/internal/bufpool"
-	"vtdynamics/internal/report"
 )
 
 // ErrNotIndexed is returned by the replication hooks for months the
@@ -411,36 +412,6 @@ func (s *Store) verifyMemberPayload(data []byte, b ReplBlock) (payloadSummary, e
 	return sum, nil
 }
 
-// WriteSamplesSnapshot serializes the live sample-metadata index to w
-// with exactly the bytes Close writes to samples.jsonl.gz (sorted by
-// hash, deterministic gzip). Close shares this encoder; the leader
-// serves it so followers converge on a byte-identical metadata
-// snapshot.
-func (s *Store) WriteSamplesSnapshot(w io.Writer) error {
-	gz := bufpool.GetGzipWriter(w)
-	defer bufpool.PutGzipWriter(gz)
-	enc := json.NewEncoder(gz)
-	metas := s.snapshotSamples()
-	hashes := make([]string, 0, len(metas))
-	for h := range metas {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	for _, h := range hashes {
-		row := struct {
-			Meta metaRow `json:"m"`
-		}{Meta: metaFrom(metas[h])}
-		if err := enc.Encode(row); err != nil {
-			gz.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
 // StatsJSON serializes the live per-month accounting with exactly the
 // bytes Close writes to stats.json.
 func (s *Store) StatsJSON() ([]byte, error) {
@@ -457,61 +428,17 @@ func (s *Store) StatsJSON() ([]byte, error) {
 	return b, nil
 }
 
-// decodeSamplesSnapshot parses a samples.jsonl.gz byte stream in full.
-func decodeSamplesSnapshot(r io.Reader) ([]report.SampleMeta, error) {
-	gz, err := bufpool.GetGzipReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: samples snapshot: %w", err)
-	}
-	defer bufpool.PutGzipReader(gz)
-	defer gz.Close()
-	dec := json.NewDecoder(gz)
-	var out []report.SampleMeta
-	for {
-		var m struct {
-			Meta metaRow `json:"m"`
-		}
-		if err := dec.Decode(&m); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("store: samples snapshot: %w", err)
-		}
-		out = append(out, m.Meta.toMeta())
-	}
-	return out, nil
-}
-
-// ApplySamplesSnapshot replaces the replica's sample-metadata index
-// with a snapshot fetched from the leader and persists the exact
-// bytes atomically as samples.jsonl.gz. The snapshot is fully parsed
-// before anything is applied.
-func (s *Store) ApplySamplesSnapshot(data []byte) error {
-	rows, err := decodeSamplesSnapshot(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.samples = make(map[string]report.SampleMeta)
-		sh.mu.Unlock()
-	}
-	for _, m := range rows {
-		sh := s.shardFor(m.SHA256)
-		sh.mu.Lock()
-		sh.samples[m.SHA256] = m
-		sh.mu.Unlock()
-	}
-	return atomicWriteFile(filepath.Join(s.dir, "samples.jsonl.gz"), data)
-}
-
-// ApplyStatsSnapshot replaces the replica's per-month accounting with
-// the leader's and persists the exact bytes atomically as stats.json.
+// ApplyStatsSnapshot persists the leader's stats snapshot atomically
+// as stats.json and then replaces the replica's per-month accounting
+// with it; bytes that do not parse, or a failed write, leave the
+// accounting untouched.
 func (s *Store) ApplyStatsSnapshot(data []byte) error {
 	var saved map[string]PartitionStats
 	if err := json.Unmarshal(data, &saved); err != nil {
 		return fmt.Errorf("store: stats snapshot: %w", err)
+	}
+	if err := atomicWriteFile(filepath.Join(s.dir, "stats.json"), data); err != nil {
+		return err
 	}
 	s.smu.Lock()
 	s.stats = make(map[string]*PartitionStats, len(saved))
@@ -520,20 +447,6 @@ func (s *Store) ApplyStatsSnapshot(data []byte) error {
 		s.stats[month] = &cp
 	}
 	s.smu.Unlock()
-	return atomicWriteFile(filepath.Join(s.dir, "stats.json"), data)
-}
-
-// atomicWriteFile writes data via a temp file + rename so readers
-// never observe a torn state file.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
@@ -541,7 +454,8 @@ func atomicWriteFile(path string, data []byte) error {
 type RepairStats struct {
 	// Repaired lists months whose sidecar was rebuilt, sorted.
 	Repaired []string
-	// TruncatedBytes counts torn partition-tail bytes dropped.
+	// TruncatedBytes counts torn tail bytes dropped from partitions
+	// and samples.jsonl.gz.
 	TruncatedBytes int64
 }
 
@@ -550,7 +464,9 @@ type RepairStats struct {
 // partition is re-walked member by member (walkPartition), the
 // partition is truncated at the end of its clean prefix (dropping a
 // torn tail from an interrupted append), and a fresh sidecar is
-// written. Run it before Open on a
+// written; samples.jsonl.gz is likewise truncated to its decodable
+// members, dropping a delta torn by a crash mid-Sync. Run it before
+// Open on a
 // replica so the follower's cursor — derived from the sidecars —
 // points at its last durable block boundary; everything truncated is
 // simply re-pulled from the leader. Months in a format newer than
@@ -597,5 +513,7 @@ func RepairDir(dir string) (RepairStats, error) {
 		rs.Repaired = append(rs.Repaired, month)
 	}
 	sort.Strings(rs.Repaired)
-	return rs, nil
+	n, err := repairSamples(dir)
+	rs.TruncatedBytes += n
+	return rs, err
 }

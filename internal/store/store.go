@@ -18,7 +18,10 @@
 //	scans-2021-05.jsonl.gz   one multi-member gzip file per month,
 //	                         written as ~256 KiB block members
 //	scans-2021-05.idx        sidecar block index (see index.go)
-//	samples.jsonl.gz         latest metadata snapshot, written on Close
+//	samples.jsonl.gz         sample metadata: one sorted snapshot member,
+//	                         then one delta member per Sync since (only
+//	                         the samples that changed); Close compacts
+//	                         it back to the single snapshot member
 //
 // Partition bytes remain a valid (multi-member) gzip stream, readable
 // by zcat and by pre-index builds of this package; the sidecar is
@@ -107,6 +110,12 @@ type storeMetrics struct {
 	scanRows    *obs.Counter
 	colsSkipped *obs.Counter
 	pruned      map[string]*obs.Counter
+
+	// Checkpoint cost: Sync latency, and the sample-metadata rows
+	// each Sync or Close writes — appended deltas vs compactions.
+	syncSeconds     *obs.Histogram
+	samplesRowsDiff *obs.Counter
+	samplesRowsFull *obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -139,6 +148,10 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		scanRows:    reg.Counter("store_scan_rows_total"),
 		colsSkipped: reg.Counter("store_columns_skipped_total"),
 		pruned:      pruned,
+
+		syncSeconds:     reg.Histogram("store_sync_seconds", obs.DefBuckets),
+		samplesRowsDiff: reg.Counter("store_samples_rows_written_total", "kind", "delta"),
+		samplesRowsFull: reg.Counter("store_samples_rows_written_total", "kind", "full"),
 	}
 }
 
@@ -182,6 +195,15 @@ type Store struct {
 	// smu guards the per-month accounting.
 	smu   sync.Mutex
 	stats map[string]*PartitionStats
+
+	// samplesMu serializes every write to samples.jsonl.gz and guards
+	// its log position: samplesLen is the length of the file's
+	// decodable prefix (appends land there, dropping any torn tail),
+	// samplesDelta the rows in the members after the first — the
+	// delta rows written since the last compaction.
+	samplesMu    sync.Mutex
+	samplesLen   int64
+	samplesDelta int
 
 	// compressSem bounds concurrent block compression across all
 	// partition writers.
@@ -255,6 +277,9 @@ func (s *Store) partPath(month string) string {
 type indexShard struct {
 	mu      sync.Mutex
 	samples map[string]report.SampleMeta
+	// dirty holds the samples whose metadata changed since it was
+	// last written to samples.jsonl.gz.
+	dirty map[string]struct{}
 	// months maps sample hash -> partition keys that contain its rows.
 	months map[string]map[string]bool
 }
@@ -651,6 +676,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	for i := range s.shards {
 		s.shards[i].samples = make(map[string]report.SampleMeta)
+		s.shards[i].dirty = make(map[string]struct{})
 		s.shards[i].months = make(map[string]map[string]bool)
 	}
 	if err := s.load(); err != nil {
@@ -709,34 +735,8 @@ func (s *Store) load() error {
 		st.StoredBytes = size
 		s.stats[month] = st
 	}
-	// Load the metadata snapshot if present.
-	metaPath := filepath.Join(s.dir, "samples.jsonl.gz")
-	f, err := os.Open(metaPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	gz, err := bufpool.GetGzipReader(f)
-	if err != nil {
-		return fmt.Errorf("store: samples snapshot: %w", err)
-	}
-	defer bufpool.PutGzipReader(gz)
-	defer gz.Close()
-	dec := json.NewDecoder(gz)
-	for {
-		var m struct {
-			Meta metaRow `json:"m"`
-		}
-		if err := dec.Decode(&m); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return fmt.Errorf("store: samples snapshot: %w", err)
-		}
-		s.shardFor(m.Meta.SHA).samples[m.Meta.SHA] = m.Meta.toMeta()
+	if err := s.loadSamples(); err != nil {
+		return err
 	}
 	return s.loadStatsSidecar()
 }
@@ -942,12 +942,14 @@ func (s *Store) PutBatch(envs []report.Envelope) error {
 	return nil
 }
 
-// indexEncoded updates the sample index for one stored row and drops
-// the sample's cached history — the next Get re-reads it.
+// indexEncoded updates the sample index for one stored row, marks the
+// sample's metadata dirty for the next Sync, and drops the sample's
+// cached history — the next Get re-reads it.
 func (s *Store) indexEncoded(enc encoded) {
 	sh := s.shardFor(enc.sha)
 	sh.mu.Lock()
 	sh.samples[enc.sha] = enc.meta
+	sh.dirty[enc.sha] = struct{}{}
 	set, ok := sh.months[enc.sha]
 	if !ok {
 		set = make(map[string]bool)
@@ -1093,13 +1095,18 @@ func (s *Store) Flush() error {
 }
 
 // Sync makes buffered rows durable and readable by cutting the open
-// gzip members at a block boundary and persisting grown sidecars and
-// metadata snapshots — without tearing down partition writers. It is
-// the durability point resumable collectors use before saving a
+// gzip members at a block boundary and persisting grown sidecars, the
+// sample metadata changed since the previous Sync, and the stats
+// snapshot — without tearing down partition writers. It is the
+// durability point resumable collectors use before saving a
 // checkpoint: after a kill, reopening the directory recovers the
 // complete store state (rows, indexes, sample metas, accounting) as
 // of the last Sync, so a resumed campaign passes full verification.
+// Its sample-metadata cost is amortized O(samples changed since the
+// last Sync), not O(samples stored); see syncSamples.
 func (s *Store) Sync() error {
+	start := time.Now()
+	defer func() { s.m.syncSeconds.ObserveDuration(time.Since(start)) }()
 	s.wmu.Lock()
 	open := make([]*partWriter, 0, len(s.writers))
 	for _, w := range s.writers {
@@ -1123,7 +1130,7 @@ func (s *Store) Sync() error {
 	if err := s.writeSidecars(); err != nil {
 		return err
 	}
-	return s.writeSnapshots()
+	return s.writeSnapshots(false)
 }
 
 // writeSidecars persists every index that has grown since its sidecar
@@ -1170,42 +1177,25 @@ func (s *Store) cutPendingFor(month, sha string) error {
 	return w.commitLocked(0)
 }
 
-// Close flushes partitions and writes the metadata snapshot.
+// Close flushes partitions and compacts the sample metadata into one
+// sorted snapshot member, so a closed store's bytes depend only on
+// its contents, not on its Sync history.
 func (s *Store) Close() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	return s.writeSnapshots()
+	return s.writeSnapshots(true)
 }
 
-// writeSnapshots persists the sample-metadata and stats snapshots,
-// each written to a temp file and renamed into place so a crash
-// mid-write never clobbers the previous good snapshot. Both files go
-// through the same encoders the replication leader serves
-// (WriteSamplesSnapshot, StatsJSON), so a follower that applied the
-// leader's snapshots and then Closes rewrites identical bytes. The
-// samples snapshot is O(total samples); Sync pays that on every
-// checkpoint, which is the same order as the sidecar postings it
-// already rewrites.
-func (s *Store) writeSnapshots() error {
-	path := filepath.Join(s.dir, "samples.jsonl.gz")
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.WriteSamplesSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+// writeSnapshots persists the sample metadata (compacted when full is
+// set, see syncSamples) and the stats snapshot. stats.json goes
+// through StatsJSON, the encoder the replication leader serves, so a
+// follower that applied the leader's snapshots and then Closes
+// rewrites identical bytes.
+func (s *Store) writeSnapshots(full bool) error {
+	if err := s.syncSamples(full); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// Persist the exact accounting for reloads.
 	b, err := s.StatsJSON()
 	if err != nil {
 		return err

@@ -27,6 +27,11 @@ var (
 	ErrRetriesExhausted = errors.New("sync: retries exhausted")
 )
 
+// errOversize marks a response body longer than the manifest that
+// announced it: the leader moved since, or lies. The body is never
+// read past that bound.
+var errOversize = errors.New("sync: response body larger than announced")
+
 // Follower pulls a leader's replication feed into a local store until
 // the replica is byte-identical. It is resumable at every step: the
 // store's own sidecars are the authoritative frontier (a block is
@@ -167,7 +172,9 @@ func (f *Follower) saveCursor() error {
 }
 
 // get fetches one URL with bounded retries on transient failures.
-func (f *Follower) get(ctx context.Context, url string, stats *Stats) ([]byte, error) {
+// When limit >= 0 the body is read through a limit+1 byte window, and
+// a longer body fails with errOversize without a retry.
+func (f *Follower) get(ctx context.Context, url string, stats *Stats, limit int64) ([]byte, error) {
 	client := f.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -194,9 +201,15 @@ func (f *Follower) get(ctx context.Context, url string, stats *Stats) ([]byte, e
 			lastErr = err
 			continue
 		}
-		body, readErr := io.ReadAll(resp.Body)
+		var rd io.Reader = resp.Body
+		if limit >= 0 {
+			rd = io.LimitReader(resp.Body, limit+1)
+		}
+		body, readErr := io.ReadAll(rd)
 		resp.Body.Close()
 		switch {
+		case resp.StatusCode == http.StatusOK && limit >= 0 && int64(len(body)) > limit:
+			return nil, fmt.Errorf("%w: %s exceeds %d bytes", errOversize, url, limit)
 		case resp.StatusCode == http.StatusOK && readErr == nil:
 			return body, nil
 		case resp.StatusCode == http.StatusConflict:
@@ -242,7 +255,7 @@ func retryAfter(resp *http.Response) time.Duration {
 // Manifest fetches and decodes the leader manifest.
 func (f *Follower) Manifest(ctx context.Context) (Manifest, error) {
 	var stats Stats
-	body, err := f.get(ctx, f.Base+"/sync/v1/manifest", &stats)
+	body, err := f.get(ctx, f.Base+"/sync/v1/manifest", &stats, -1)
 	if err != nil {
 		return Manifest{}, err
 	}
@@ -261,7 +274,7 @@ func (f *Follower) pullMonth(ctx context.Context, target MonthCursor, have store
 		if f.BatchBytes > 0 {
 			url += "&max_bytes=" + strconv.FormatInt(f.BatchBytes, 10)
 		}
-		body, err := f.get(ctx, url, stats)
+		body, err := f.get(ctx, url, stats, -1)
 		if err != nil {
 			return err
 		}
@@ -366,12 +379,18 @@ func (f *Follower) CatchUp(ctx context.Context) (Stats, error) {
 			return stats, err
 		}
 
-		samples, err := f.get(ctx, f.Base+"/sync/v1/samples", &stats)
-		if err != nil {
+		// Each snapshot body is bounded by its manifest size: a longer
+		// one is never buffered, only treated like a hash mismatch.
+		samples, err := f.get(ctx, f.Base+"/sync/v1/samples", &stats, m.SamplesSize)
+		if errors.Is(err, errOversize) {
+			continue
+		} else if err != nil {
 			return stats, err
 		}
-		statsBody, err := f.get(ctx, f.Base+"/sync/v1/stats", &stats)
-		if err != nil {
+		statsBody, err := f.get(ctx, f.Base+"/sync/v1/stats", &stats, m.StatsSize)
+		if errors.Is(err, errOversize) {
+			continue
+		} else if err != nil {
 			return stats, err
 		}
 		if hashHex(samples) != m.SamplesSHA || hashHex(statsBody) != m.StatsSHA {

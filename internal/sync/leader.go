@@ -1,8 +1,6 @@
 package sync
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,7 +23,7 @@ const (
 //	GET /sync/v1/manifest                       leader frontier + snapshot hashes
 //	GET /sync/v1/blocks?month=M&seq=N[&max=K][&max_bytes=B]
 //	                                            block frames from seq N on
-//	GET /sync/v1/samples                        samples snapshot bytes
+//	GET /sync/v1/samples                        sample-metadata log bytes
 //	GET /sync/v1/stats                          stats snapshot bytes
 //
 // Blocks are immutable once committed, so every /blocks response
@@ -67,9 +65,10 @@ func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	l.mux.ServeHTTP(w, r)
 }
 
-// manifest snapshots the leader state. The snapshot hashes are
-// recomputed per call — O(total samples), which at manifest-poll
-// cadence is noise next to block transfer.
+// manifest snapshots the leader state. The samples hash covers the
+// durable samples.jsonl.gz log plus one member for metas not yet
+// synced (store.SamplesSnapshot): O(file bytes + changed samples) per
+// poll, with no re-encode of unchanged metas.
 func (l *Leader) manifest() (Manifest, error) {
 	state := l.st.ReplState()
 	months := make([]MonthCursor, 0, len(state))
@@ -78,35 +77,21 @@ func (l *Leader) manifest() (Manifest, error) {
 	}
 	sort.Slice(months, func(i, j int) bool { return months[i].Month < months[j].Month })
 
-	h := sha256.New()
-	cw := &countWriter{w: h}
-	if err := l.st.WriteSamplesSnapshot(cw); err != nil {
+	samples, err := l.st.SamplesSnapshot()
+	if err != nil {
 		return Manifest{}, err
-	}
-	m := Manifest{
-		Months:      months,
-		SamplesSize: cw.n,
-		SamplesSHA:  hex.EncodeToString(h.Sum(nil)),
 	}
 	stats, err := l.st.StatsJSON()
 	if err != nil {
 		return Manifest{}, err
 	}
-	sum := sha256.Sum256(stats)
-	m.StatsSize = int64(len(stats))
-	m.StatsSHA = hex.EncodeToString(sum[:])
-	return m, nil
-}
-
-type countWriter struct {
-	w interface{ Write([]byte) (int, error) }
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return Manifest{
+		Months:      months,
+		SamplesSize: int64(len(samples)),
+		SamplesSHA:  hashHex(samples),
+		StatsSize:   int64(len(stats)),
+		StatsSHA:    hashHex(stats),
+	}, nil
 }
 
 func (l *Leader) handleManifest(w http.ResponseWriter, r *http.Request) {
@@ -188,12 +173,13 @@ func (l *Leader) handleBlocks(w http.ResponseWriter, r *http.Request) {
 
 func (l *Leader) handleSamples(w http.ResponseWriter, r *http.Request) {
 	l.requests("samples").Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := l.st.WriteSamplesSnapshot(w); err != nil {
-		// Headers are gone; the truncated body fails the follower's
-		// hash check.
+	b, err := l.st.SamplesSnapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(b)
 }
 
 func (l *Leader) handleStats(w http.ResponseWriter, r *http.Request) {

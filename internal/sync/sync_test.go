@@ -1,6 +1,7 @@
 package sync
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -470,4 +472,103 @@ func TestEmptyLeaderConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParity(t, leaderDir, followerDir)
+}
+
+// TestFollowerBoundsSnapshotBodies: a /samples or /stats body longer
+// than the manifest announced is read no further than that bound and
+// never applied; the follower takes a fresh manifest and converges
+// once the leader serves what it announced.
+func TestFollowerBoundsSnapshotBodies(t *testing.T) {
+	leaderDir := t.TempDir()
+	lst, err := store.Open(leaderDir, store.WithBlockSize(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, lst, "big", 12, 0)
+	if err := lst.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	leader := NewLeader(lst, obs.NewRegistry())
+	hits := map[string]*atomic.Int64{"/sync/v1/samples": new(atomic.Int64), "/sync/v1/stats": new(atomic.Int64)}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		leader.ServeHTTP(w, r)
+		if n, ok := hits[r.URL.Path]; ok && n.Add(1) == 1 {
+			w.Write(make([]byte, 1<<20)) // first answer per path: 1 MiB too long
+		}
+	}))
+	defer srv.Close()
+
+	followerDir := t.TempDir()
+	fst, err := store.Open(followerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(fst, srv.URL, obs.NewRegistry())
+	stats, err := f.CatchUp(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 3 {
+		t.Fatalf("caught up in %d rounds, want 3 (one per oversize body, one clean)", stats.Rounds)
+	}
+	assertParity(t, leaderDir, followerDir)
+
+	if _, err := f.get(context.Background(), srv.URL+"/sync/v1/stats", &stats, 8); !errors.Is(err, errOversize) {
+		t.Fatalf("get with an 8-byte bound: %v, want errOversize", err)
+	}
+}
+
+// TestLeaderServesUnsyncedSampleDelta: metas Put since the leader's
+// last Sync reach the follower as one member appended to the leader's
+// durable samples log — the member the leader's next Sync appends, so
+// the two files are byte-identical once the leader syncs.
+func TestLeaderServesUnsyncedSampleDelta(t *testing.T) {
+	leaderDir := t.TempDir()
+	lst, err := store.Open(leaderDir, store.WithBlockSize(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, lst, "uns", 20, 0)
+	if err := lst.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	samplesPath := func(dir string) string { return filepath.Join(dir, "samples.jsonl.gz") }
+	durable, err := os.ReadFile(samplesPath(leaderDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sha := range []string{"uns003", "uns011", "uns020"} {
+		if err := lst.Put(envelope(sha, t0.AddDate(0, 0, 3).Add(time.Duration(i)*time.Hour), 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := leaderServer(t, lst, nil, obs.NewRegistry())
+	followerDir := t.TempDir()
+	fst, err := store.Open(followerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFollower(fst, srv.URL, obs.NewRegistry()).CatchUp(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(samplesPath(followerDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, durable) || len(got) == len(durable) {
+		t.Fatal("follower's samples log is not the leader's durable log plus a delta member")
+	}
+	if m, ok := fst.Meta("uns020"); !ok || !m.LastAnalysisDate.Equal(t0.AddDate(0, 0, 3).Add(2*time.Hour)) {
+		t.Fatalf("unsynced meta not replicated: %+v, %v", m, ok)
+	}
+	if err := lst.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	leaderNow, err := os.ReadFile(samplesPath(leaderDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(leaderNow, got) {
+		t.Fatal("leader's Sync appended a different member than it served")
+	}
 }

@@ -173,9 +173,20 @@ func (s *Server) serveCounted(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// maxUploadBody bounds an upload request body. A descriptor is a few
+// hundred bytes of JSON; the handler stops reading past this bound.
+const maxUploadBody = 64 << 10
+
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var desc UploadDescriptor
+	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
 	if err := json.NewDecoder(r.Body).Decode(&desc); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "BadRequestError",
+				fmt.Sprintf("upload descriptor exceeds %d bytes", maxUploadBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "BadRequestError", "malformed upload descriptor")
 		return
 	}

@@ -222,6 +222,36 @@ func TestMalformedUploadBody(t *testing.T) {
 	}
 }
 
+// TestOversizeUploadBody: the upload handler reads at most 64 KiB of
+// body and answers anything longer with 413, while a descriptor of
+// ordinary size still uploads.
+func TestOversizeUploadBody(t *testing.T) {
+	set, _ := engine.NewSet(engine.DefaultRoster(), 42,
+		simclock.CollectionStart, simclock.CollectionEnd)
+	svc := vtsim.NewService(set, simclock.NewSim(simclock.CollectionStart))
+	srv := httptest.NewServer(vtapi.NewServer(svc, nil))
+	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		pad  int
+		want int
+	}{
+		{"ordinary", 1 << 10, http.StatusOK},
+		{"oversize", 64 << 10, http.StatusRequestEntityTooLarge},
+	} {
+		body := `{"sha256":"big","file_type":"PDF","size":1,"detectability":0.5,"pad":"` +
+			strings.Repeat("x", tc.pad) + `"}`
+		resp, err := http.Post(srv.URL+"/api/v3/files", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s body: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestWireFormatFields(t *testing.T) {
 	// The decoded envelope must preserve engine verdict categories —
 	// guard against wire-format drift.
